@@ -238,9 +238,12 @@ class CostModelWaitPolicy final : public AdaptationPolicy {
 /// with Timeout", PAPERS.md): the queue's local spinning scales under
 /// heavy contention on dedicated processors, but FIFO handoff to a
 /// preempted waiter stalls the whole chain once the domain oversubscribes
-/// - detected oversubscription drops back to kFcfs (whose waiters can
-/// park), and sustained contention on a non-oversubscribed domain adopts
-/// kQueue.
+/// - detected oversubscription drops back to kFcfs, and sustained
+/// contention on a non-oversubscribed domain adopts kQueue. On
+/// real-concurrency platforms both kinds are served from the lock's MCS
+/// queue cell, so the flip is an immediate install that changes no
+/// waiter's position (no configuration delay); the two kinds differ only
+/// in the simulator.
 class OversubscriptionSchedulerPolicy final : public AdaptationPolicy {
  public:
   struct Params {

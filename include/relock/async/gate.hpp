@@ -74,11 +74,7 @@ struct AsyncGate {
   /// unless they are the only party that ever resumes it (the manager
   /// executor is).
   static EnqueueMode enqueue(Ctx& ctx, Lock& lk, Rec& rec) {
-    // Registration + acquisition bookkeeping, as acquire_slow does it.
-    P::store(ctx, lk.registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
-    (void)P::load(ctx, lk.config_word_);
-
-    if (lk.arrival_target_kind() == SchedulerKind::kQueue) {
+    if (Lock::cell_served(lk.arrival_target_kind())) {
       lk.template publish_arrival<EnqueueMode::kCell>(ctx, rec);
       return EnqueueMode::kCell;
     }
@@ -94,9 +90,6 @@ struct AsyncGate {
   /// the frame itself. RW waiters arm no breaker: RW locks never take the
   /// fast-release path, so there is no epoch to break.
   static bool enqueue_rw(Ctx& ctx, Lock& lk, Rec& rec, bool shared) {
-    P::store(ctx, lk.registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
-    (void)P::load(ctx, lk.config_word_);
-
     lk.meta_lock(ctx);
     if (lk.rw_can_enter(shared)) {
       lk.rw_enter(ctx, shared);

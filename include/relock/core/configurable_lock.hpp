@@ -25,14 +25,19 @@
 // policy").
 //
 // Contended-arrival design on real-concurrency platforms (kRealConcurrency):
-// arriving waiters do NOT take the meta guard. Each pushes its stack-resident
-// WaiterRecord onto a lock-free MPSC arrival stack with a single exchange on
-// the arrivals word; the release module - already serialized by meta - drains
-// the stack into the scheduler queue before selecting a grant. Registration
-// therefore stays "the cost of one write operation" even under contention,
-// and the meta guard degenerates to a release-side-only lock. On simulated
-// platforms every word access has a calibrated cost and the meta-guarded
-// arrival path is kept verbatim so the reproduction tables stay byte-stable.
+// arriving waiters do NOT take the meta guard. FIFO kinds (kFcfs, kQueue)
+// are served straight from the lock-resident MCS queue cell: an arrival
+// tail-swaps its stack-resident WaiterRecord in and links behind its
+// predecessor, and the releaser pops the head and grants it with one store
+// (see cell_served()). Every other scheduled kind pushes the record onto a
+// lock-free MPSC arrival stack with a single exchange on the arrivals word;
+// the release module - already serialized by meta or by ownership - drains
+// the stack into the scheduler module before selecting a grant.
+// Registration therefore stays "the cost of one write operation" even under
+// contention, and the meta guard degenerates to a release-side-only lock. On
+// simulated platforms every word access has a calibrated cost and the
+// meta-guarded arrival path is kept verbatim (kFcfs keeps FcfsScheduler
+// there) so the reproduction tables stay byte-stable.
 //
 // Contended-release design (kRealConcurrency, the configuration-quiescence
 // epoch): the steady-state contended release does not take the meta guard
@@ -87,6 +92,7 @@
 #include "relock/core/waiter.hpp"
 #include "relock/monitor/lock_monitor.hpp"
 #include "relock/platform/backoff.hpp"
+#include "relock/platform/cacheline.hpp"
 #include "relock/platform/chk_hooks.hpp"
 #include "relock/platform/platform.hpp"
 #include "relock/platform/trace_hooks.hpp"
@@ -100,23 +106,35 @@ namespace relock {
 template <Platform P>
 struct AsyncGate;
 
+/// Read-only view of the lock's member addresses for layout tests
+/// (tests/core_layout_test.cpp defines it): offsetof is not usable on this
+/// non-standard-layout class under -Werror=invalid-offsetof.
+template <Platform P>
+struct LockLayoutProbe;
+
 template <Platform P>
 class ConfigurableLock {
   /// The async front-end replays the arrival, withdrawal, and breaker
   /// protocols on behalf of suspended coroutines; it needs the same access
   /// a member acquire path has.
   friend struct AsyncGate<P>;
+  friend struct LockLayoutProbe<P>;
 
-  /// Stand-in for the arrivals word on platforms that keep the meta-guarded
-  /// arrival path: allocating a real platform word there would shift the
-  /// simulator's round-robin cell placement for every later allocation and
-  /// perturb the calibrated tables.
-  struct NoArrivalsWord {
-    explicit NoArrivalsWord(typename P::Domain&, std::uint64_t = 0,
-                            Placement = Placement::any()) {}
+  /// Stand-in for a platform word that only one platform family uses. The
+  /// arrivals word exists only on kRealConcurrency platforms: allocating a
+  /// real platform word on the simulator would shift its round-robin cell
+  /// placement for every later allocation and perturb the calibrated
+  /// tables. The registry word exists only on the simulator, where its
+  /// store is the paper's registration write (formal_cost_test prices it);
+  /// nothing ever reads it back.
+  struct NoWord {
+    explicit NoWord(typename P::Domain&, std::uint64_t = 0,
+                    Placement = Placement::any()) {}
   };
-  using ArrivalsWord = std::conditional_t<kRealConcurrency<P>,
-                                          typename P::Word, NoArrivalsWord>;
+  using ArrivalsWord =
+      std::conditional_t<kRealConcurrency<P>, typename P::Word, NoWord>;
+  using RegistryWord =
+      std::conditional_t<kRealConcurrency<P>, NoWord, typename P::Word>;
 
   /// One per-thread waiting-policy override slot (kRealConcurrency only):
   /// written under meta, read lock-free by registering threads with a
@@ -194,7 +212,7 @@ class ConfigurableLock {
         mailbox_(domain, 0, opts.placement),
         arrivals_(domain, 0, opts.placement),
         scheduler_kind_(opts.scheduler) {
-    // Assigned in the body, not the init list: the kQueue module is a
+    // Assigned in the body, not the init list: a cell-served module is a
     // façade over queue_cell_, a member declared further down.
     scheduler_ = make_module(opts.scheduler);
     store_attrs(opts.attributes);
@@ -290,9 +308,14 @@ class ConfigurableLock {
         // is what makes this sound: a waiter's mark landing first makes it
         // fail, and we fall through to the full paths below. A
         // fast-eligible lock is passive by definition, so the serving_
-        // probe below is skipped knowingly.
+        // probe below is skipped knowingly. A hold that began with a grant
+        // skips the CAS: the contended bit was set when it was granted and
+        // only this owner's own guarded free-publish clears it, so the CAS
+        // would fail - a wasted RMW on the line arrivals are marking. (A
+        // load of the state word before the CAS would catch the same case,
+        // but puts a load on the uncontended path's critical path.)
         chk_point<P>(ctx, "fu.cas");
-        if (P::cas(ctx, state_, kStateHeld, 0)) {
+        if (!full_mode_hold_ && P::cas(ctx, state_, kStateHeld, 0)) {
           note(ctx, LockEvent::kReleaseFree);
           return;
         }
@@ -426,11 +449,11 @@ class ConfigurableLock {
   void configure_scheduler(Ctx& ctx, std::unique_ptr<Scheduler<P>> custom) {
     if (custom == nullptr) misuse("configure_scheduler with a null scheduler");
     const SchedulerKind kind = custom->kind();
-    if (kind == SchedulerKind::kQueue) {
-      // A user-built distributed-queue module carries its own cell, but
-      // lock-free arrivals tail-swap into the lock-resident one. The
-      // module is stateless apart from the cell, so install a lock-bound
-      // façade instead; the caller's instance is simply discarded.
+    if (cell_served(kind)) {
+      // Lock-free arrivals of a cell-served kind tail-swap into the
+      // lock-resident cell, never into a module's own queue. Such a module
+      // is stateless apart from its queue, so install a lock-bound façade
+      // instead; the caller's instance is simply discarded.
       install_scheduler(ctx, kind, make_module(kind));
       return;
     }
@@ -681,9 +704,9 @@ class ConfigurableLock {
   /// (kRealConcurrency): the one step in which the two registration
   /// structures differ. kStack pushes the record onto the arrival stack
   /// with one exchange; the release module later drains it into the
-  /// scheduler module under meta. kCell is the MCS tail swap into the
-  /// lock-resident queue cell (SchedulerKind::kQueue), linked behind the
-  /// predecessor's inline node and never drained.
+  /// scheduler module. kCell is the MCS tail swap into the lock-resident
+  /// queue cell (the cell_served() kinds), linked behind the predecessor's
+  /// inline node and never drained.
   enum class Arrival : std::uint8_t { kStack, kCell };
 
   /// What one probe of the waiting engine tests: the waiter's own grant
@@ -928,22 +951,18 @@ class ConfigurableLock {
 
   bool acquire_slow(Ctx& ctx, bool shared, Nanos timeout_override, Nanos t0,
                     Nanos arrival) {
-    // Registration: log the requesting thread's identity - "the cost of one
-    // write operation" (paper section 3.2).
-    P::store(ctx, registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
-    // Acquisition: read the waiting-policy configuration (the 1R the
-    // configure operation pairs with).
-    (void)P::load(ctx, config_word_);
-
     if constexpr (kRealConcurrency<P>) {
       // Contended arrival without the meta guard: scheduled waiters publish
-      // their record lock-free (arrival stack, or the queue cell for
-      // kQueue); centralized waiters go straight to the TTAS waiting
-      // engine. The kind read is advisory - a racing reconfiguration is
-      // absorbed by the release module (drained records whose scheduler
-      // vanished park on the orphan queue).
+      // their record lock-free (the queue cell for cell-served kinds, else
+      // the arrival stack); centralized waiters go straight to the TTAS
+      // waiting engine. The kind read is advisory - a racing
+      // reconfiguration is absorbed by the release module (drained records
+      // whose scheduler vanished park on the orphan queue, cell strays are
+      // swept). The paper's registration write and configuration read
+      // (below) are not made here: nothing reads the registry word back,
+      // and the arrival reads its policy from the attribute atomics.
       const SchedulerKind target_kind = arrival_target_kind();
-      if (target_kind == SchedulerKind::kQueue) {
+      if (cell_served(target_kind)) {
         return acquire_contended<Arrival::kCell>(ctx, timeout_override, t0,
                                                  arrival);
       }
@@ -961,6 +980,7 @@ class ConfigurableLock {
       }
       return wait_barging(ctx, attrs, deadline, t0);
     } else {
+      log_registrant(ctx);
       meta_lock(ctx);
       const LockAttributes attrs = registration_attrs(ctx, timeout_override);
       const Nanos deadline =
@@ -982,6 +1002,27 @@ class ConfigurableLock {
       meta_unlock(ctx);
       return wait_barging(ctx, attrs, deadline, t0);
     }
+  }
+
+  /// Simulated platforms only: registration logs the requesting thread's
+  /// identity - "the cost of one write operation" (paper section 3.2) - and
+  /// acquisition reads the waiting-policy configuration (the 1R the
+  /// configure operation pairs with). formal_cost_test prices both.
+  void log_registrant(Ctx& ctx) {
+    P::store(ctx, registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
+    (void)P::load(ctx, config_word_);
+  }
+
+  /// True for the kinds served straight from the lock-resident MCS queue
+  /// cell: kQueue everywhere, and on kRealConcurrency platforms kFcfs too -
+  /// both are one FIFO, so FCFS waiters tail-swap into the cell and are
+  /// popped and granted without the arrival stack, its reversal, or a
+  /// module select. The simulator keeps FcfsScheduler for kFcfs, so the
+  /// reproduction tables do not move. Two cell-served kinds serve the same
+  /// FIFO: a switch between them installs immediately.
+  [[nodiscard]] static constexpr bool cell_served(SchedulerKind kind) noexcept {
+    return kind == SchedulerKind::kQueue ||
+           (kRealConcurrency<P> && kind == SchedulerKind::kFcfs);
   }
 
   /// Kind the next arrival will register under (advisory, lock-free read).
@@ -1273,15 +1314,25 @@ class ConfigurableLock {
       auto* next = reinterpret_cast<WaiterRecord<P>*>(
           w->arrival_next.load(std::memory_order_relaxed));
       w->arrival_next.store(0, std::memory_order_relaxed);
-      if (target != nullptr) {
-        w->registered_with = target;
-        target->enqueue(*w);
-      } else {
-        w->registered_with = nullptr;
-        orphans_.push_back(*w);
-      }
+      enlist(*w, target);
       w = next;
     }
+  }
+
+  /// Meta held. Registers a drained or migrated record with `target`, or
+  /// parks it on the orphan queue when there is no module. On real
+  /// platforms a cell-served module's records live in the lock-resident
+  /// cell and name no module: a switch between cell-served kinds destroys
+  /// the façade they would name, and withdraw() finds them in the cell.
+  void enlist(WaiterRecord<P>& w, Scheduler<P>* target) {
+    if (target == nullptr) {
+      w.registered_with = nullptr;
+      orphans_.push_back(w);
+      return;
+    }
+    w.registered_with =
+        kRealConcurrency<P> && cell_served(target->kind()) ? nullptr : target;
+    target->enqueue(w);
   }
 
   // ------------------- distributed queue (kQueue) consumer side ----------
@@ -1431,36 +1482,26 @@ class ConfigurableLock {
     c.count.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Meta held, kRealConcurrency only. A thread that read kQueue as its
+  /// Meta held, kRealConcurrency only. A thread that read a cell-served
   /// arrival target races configure_scheduler: its tail-swap can land
   /// after the configuration moved on, leaving records in the cell with no
-  /// distributed-queue module current or pending to serve them. Mirror of
-  /// the orphan-absorption rule for the arrival stack: migrate such strays
+  /// cell-served module current or pending to serve them. Mirror of the
+  /// orphan-absorption rule for the arrival stack: migrate such strays
   /// into the module new arrivals register under (or the orphan queue).
-  /// Must be - and is - a no-op while either module is a distributed
-  /// queue; popping then would steal linked waiters out of FIFO order.
+  /// Must be - and is - a no-op while either module is cell-served;
+  /// popping then would steal linked waiters out of FIFO order.
   void drain_queue_strays(Ctx& ctx) {
     if constexpr (kRealConcurrency<P>) {
       if (queue_cell_.empty()) return;
-      if (scheduler_kind_.load(std::memory_order_relaxed) ==
-          SchedulerKind::kQueue) {
+      if (cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
         return;
       }
       if (has_pending_.load(std::memory_order_relaxed) &&
-          pending_kind_.load(std::memory_order_relaxed) ==
-              SchedulerKind::kQueue) {
+          cell_served(pending_kind_.load(std::memory_order_relaxed))) {
         return;
       }
       Scheduler<P>* target = arrival_module();
-      while (WaiterRecord<P>* w = queue_pop(ctx)) {
-        if (target != nullptr) {
-          w->registered_with = target;
-          target->enqueue(*w);
-        } else {
-          w->registered_with = nullptr;
-          orphans_.push_back(*w);
-        }
-      }
+      while (WaiterRecord<P>* w = queue_pop(ctx)) enlist(*w, target);
     } else {
       (void)ctx;
     }
@@ -1469,28 +1510,18 @@ class ConfigurableLock {
   /// Meta held, fast releases waited out. Removes a timed-out record from
   /// wherever it is registered: the scheduler module that actually enqueued
   /// it (which may no longer be the current one after a reconfiguration),
-  /// the distributed queue cell, or the orphan queue.
+  /// the queue cell, or the orphan queue.
   void withdraw(Ctx& ctx, WaiterRecord<P>& rec) {
     if (rec.registered_with != nullptr) {
-      if constexpr (kRealConcurrency<P>) {
-        if (rec.registered_with->kind() == SchedulerKind::kQueue) {
-          // The record is linked in the lock-resident cell. The façade's
-          // non-waiting remove cannot wait out an in-flight producer link;
-          // the lock-side remover can, and must find the record.
-          rec.registered_with = nullptr;
-          const bool unlinked = queue_remove(ctx, rec);
-          assert(unlinked);
-          (void)unlinked;
-          return;
-        }
-      }
       rec.registered_with->remove(rec);
       rec.registered_with = nullptr;
       return;
     }
     if constexpr (kRealConcurrency<P>) {
-      // kQueue self-enqueued records carry no module registration; they
-      // live in the cell. Not found there means the orphan queue.
+      // Cell records carry no module registration (see enlist()). The
+      // façade's non-waiting remove cannot wait out an in-flight producer
+      // link; the lock-side remover can. Not found in the cell means the
+      // orphan queue.
       if (queue_remove(ctx, rec)) return;
     }
     orphans_.remove(rec);
@@ -1848,8 +1879,8 @@ class ConfigurableLock {
   /// select, so any later mutation invalidates the cache.
   void refill_next_grant(Ctx& ctx, Scheduler<P>& sched) {
     WaiterRecord<P>* nxt;
-    if (sched.kind() == SchedulerKind::kQueue) {
-      // Distributed queue: O(1) head pop from the cell, no GrantBatch scan.
+    if (cell_served(sched.kind())) {
+      // Cell-served FIFO: O(1) head pop from the cell, no GrantBatch scan.
       nxt = queue_pop(ctx);
     } else {
       grant_scratch_.clear();
@@ -1875,10 +1906,11 @@ class ConfigurableLock {
           next_grant_.exchange(nullptr, std::memory_order_relaxed);
       if (cached == nullptr) return;
       if (scheduler_ != nullptr) {
-        cached->registered_with = scheduler_.get();
-        if (scheduler_->kind() == SchedulerKind::kQueue) {
+        if (cell_served(scheduler_->kind())) {
+          cached->registered_with = nullptr;  // see enlist()
           queue_push_front(ctx, *cached);
         } else {
+          cached->registered_with = scheduler_.get();
           scheduler_->enqueue_front(*cached);
         }
       } else {
@@ -1929,9 +1961,9 @@ class ConfigurableLock {
         has_pending_.load(std::memory_order_relaxed) || !orphans_.empty()) {
       return release_fast_abort(ctx, /*began=*/true);
     }
-    const bool queued_kind = kind == SchedulerKind::kQueue;
+    const bool queued_kind = cell_served(kind);
     if (queued_kind) {
-      // Distributed queue: the cell is the registration structure, and the
+      // Cell-served FIFO: the cell is the registration structure, and the
       // arrival stack is only a reconfiguration straggler channel. A
       // nonzero stack means a record was pushed against a prior
       // configuration and not yet drained - the guarded path's job.
@@ -2104,7 +2136,7 @@ class ConfigurableLock {
         grant_scratch_.push_back(orphan);
       } else if (scheduler_ != nullptr) {
         if constexpr (kRealConcurrency<P>) {
-          if (scheduler_->kind() == SchedulerKind::kQueue) {
+          if (cell_served(scheduler_->kind())) {
             // Paced pop: waits out producer link windows, so a linked
             // waiter is never skipped (the façade's non-waiting select
             // would report nobody and this loop would publish free).
@@ -2220,13 +2252,15 @@ class ConfigurableLock {
     }
   }
 
-  /// Builds a scheduler module for `kind`. The distributed queue module is
-  /// special: it is a façade over the lock-resident queue_cell_, because
-  /// arrivals tail-swap into the cell without ever dereferencing the
-  /// module pointer (which a racing reconfiguration may be retiring).
+  /// Builds a scheduler module for `kind`. Cell-served kinds are special:
+  /// the module is a façade over the lock-resident queue_cell_ that
+  /// reports `kind`, because arrivals tail-swap into the cell without ever
+  /// dereferencing the module pointer (which a racing reconfiguration may
+  /// be retiring).
   [[nodiscard]] std::unique_ptr<Scheduler<P>> make_module(SchedulerKind kind) {
-    if (kind == SchedulerKind::kQueue) {
-      return std::make_unique<DistributedQueueScheduler<P>>(&queue_cell_);
+    if (cell_served(kind)) {
+      return std::make_unique<DistributedQueueScheduler<P>>(&queue_cell_,
+                                                            kind);
     }
     return make_scheduler<P>(kind);
   }
@@ -2268,21 +2302,14 @@ class ConfigurableLock {
       // installed. Migrate its registered waiters (to the incoming module,
       // or the orphan queue when switching to kNone) instead of destroying
       // them with it. Exception: when both the replaced pending module and
-      // the incoming one are distributed queues, they drain the same
-      // lock-resident cell - the waiters are already where the incoming
-      // module serves them, and "migrating" would chase a cycle.
+      // the incoming one are cell-served, they drain the same lock-resident
+      // cell - the waiters are already where the incoming module serves
+      // them, and "migrating" would chase a cycle.
       const bool both_queued =
-          pending_scheduler_->kind() == SchedulerKind::kQueue &&
-          kind == SchedulerKind::kQueue;
+          cell_served(pending_scheduler_->kind()) && cell_served(kind);
       if (!both_queued) {
         while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
-          if (fresh != nullptr) {
-            w->registered_with = fresh.get();
-            fresh->enqueue(*w);
-          } else {
-            w->registered_with = nullptr;
-            orphans_.push_back(*w);
-          }
+          enlist(*w, fresh.get());
         }
       }
     }
@@ -2293,17 +2320,26 @@ class ConfigurableLock {
     pending_kind_.store(kind, std::memory_order_relaxed);
     has_pending_.store(true, std::memory_order_relaxed);
     if constexpr (kRealConcurrency<P>) {
-      // A replaced pending kQueue module can leave records in the cell
-      // that its pop_any could not see (a producer's link was still in
-      // flight). Now that the pending kinds are final, sweep such strays
-      // into whatever module new arrivals register under. No-op while a
-      // distributed queue is still current or incoming.
+      // A replaced pending cell-served module can leave records in the
+      // cell that its pop_any could not see (a producer's link was still
+      // in flight). Now that the pending kinds are final, sweep such
+      // strays into whatever module new arrivals register under. No-op
+      // while a cell-served module is still current or incoming.
       drain_queue_strays(ctx);
     }
     // New registrations target the incoming module from here on: a new
     // configuration generation for the fairness oracles.
     note(ctx, LockEvent::kSchedulerInstalled);
-    const bool immediate = scheduler_ == nullptr || scheduler_->empty();
+    // No configuration delay between two cell-served kinds on real
+    // platforms: the outgoing and incoming modules serve the same FIFO, so
+    // the pre-registered waiters are served first by construction, and no
+    // record names the outgoing façade (see enlist()). Deferring instead
+    // would keep the fast release off for as long as the cell never
+    // empties - under load, indefinitely.
+    const bool immediate =
+        scheduler_ == nullptr || scheduler_->empty() ||
+        (kRealConcurrency<P> && cell_served(scheduler_->kind()) &&
+         cell_served(kind));
     if (immediate) install_pending(ctx);                // W5: flag reset
     note(ctx, LockEvent::kConfigMutateEnd);
     meta_unlock(ctx);
@@ -2329,6 +2365,7 @@ class ConfigurableLock {
   /// monitored release cannot pair with a stale stamp.
   void on_acquired_fast(Ctx& ctx, Nanos t0) {
     note_trace(ctx, LockEvent::kAcquireFast, ctx.self());
+    full_mode_hold_ = false;
     if (monitor_.enabled()) {
       monitor_.on_acquire(/*contended=*/false);
       acquire_time_ = t0 != 0 ? P::now(ctx) : 0;
@@ -2344,6 +2381,7 @@ class ConfigurableLock {
     P::store(ctx, owner_, static_cast<std::uint64_t>(ctx.self()) + 1);
     recursion_depth_ = 0;
     if constexpr (kRealConcurrency<P>) {
+      full_mode_hold_ = false;
       // Clock elision: with the monitor off the timestamps feed nothing;
       // with it on, only the 1-in-N sampled acquisitions (t0 nonzero) pay
       // clock reads. acquire_time_ == 0 tells the release side this hold
@@ -2371,7 +2409,10 @@ class ConfigurableLock {
                shared ? LockEvent::kAcquireShared : LockEvent::kAcquireSlow,
                ctx.self());
     if constexpr (kRealConcurrency<P>) {
-      if (!shared) recursion_depth_ = 0;
+      if (!shared) {
+        recursion_depth_ = 0;
+        full_mode_hold_ = true;  // every grant leaves the contended bit set
+      }
       if (!monitor_.enabled()) {
         if (!shared) acquire_time_ = 0;
         return;
@@ -2420,8 +2461,7 @@ class ConfigurableLock {
 
   bool acquire_rw(Ctx& ctx, bool shared, Nanos timeout_override) {
     const Nanos t0 = P::now(ctx);
-    P::store(ctx, registry_, static_cast<std::uint64_t>(ctx.self()) + 1);
-    (void)P::load(ctx, config_word_);
+    if constexpr (!kRealConcurrency<P>) log_registrant(ctx);
 
     meta_lock(ctx);
     const LockAttributes attrs = registration_attrs(ctx, timeout_override);
@@ -2579,7 +2619,7 @@ class ConfigurableLock {
   typename P::Word sched_acq_;    ///< scheduler submodule: acquisition
   typename P::Word sched_rel_;    ///< scheduler submodule: release
   typename P::Word sched_flag_;   ///< configuration-delay flag
-  typename P::Word registry_;     ///< last registrant tid+1
+  RegistryWord registry_;         ///< last registrant tid+1 (sim only)
   typename P::Word possess_word_; ///< attribute possession bits
   typename P::Word mailbox_;      ///< active-lock doorbell
   /// Head of the lock-free MPSC arrival stack (WaiterRecord*, 0 = empty).
@@ -2603,23 +2643,33 @@ class ConfigurableLock {
   /// Advisory mirror of the last set_priority_threshold value (see
   /// priority_threshold()).
   std::atomic<Priority> threshold_mirror_{kDefaultPriority};
-  /// Shared half of the distributed (kQueue) waiter queue. Lock-resident -
-  /// not module-resident - so lock-free arrivals can tail-swap into stable
-  /// storage no matter how many times configuration flips kQueue on and
-  /// off; every kQueue façade installed on this lock serves this one cell.
-  /// Host atomics, so the simulator's word placement is untouched.
-  WaitQueueCell<P> queue_cell_;
 
-  // Holder state (guarded by meta on slow paths; fast path uses state_).
-  std::uint32_t holders_ = 0;   ///< 0 free, 1 exclusive, n readers
+  // Host-side line layout (kRealConcurrency). A contended handoff is a
+  // chain of cache-line transfers, so words written by arriving waiters
+  // and words written by the state-word owner's release never share a
+  // 64-byte line: the queue cell and the waiter count get lines of their
+  // own, and the owner's release state below starts a fresh line (the
+  // platform words above are padded by the native platform). Pinned by
+  // core_layout_test.
+
+  /// Shared half of the cell-served (kFcfs/kQueue) waiter queue. Lock-
+  /// resident - not module-resident - so lock-free arrivals can tail-swap
+  /// into stable storage no matter how many times configuration flips
+  /// between kinds; every façade installed on this lock serves this one
+  /// cell. Host atomics, so the simulator's word placement is untouched.
+  alignas(kCacheLineSize) WaitQueueCell<P> queue_cell_;
+
+  // Owner release state: written by whoever runs the release module (the
+  // state-word owner, or a meta holder on the guarded paths).
+  /// 0 free, 1 exclusive, n readers.
+  alignas(kCacheLineSize) std::uint32_t holders_ = 0;
   bool writer_held_ = false;    ///< RW mode only
-
-  WaiterQueue<P> sleepers_;     ///< centralized-mode sleeping waiters (meta)
-  WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
-  GrantBatch<P> grant_scratch_; ///< reused by the module owner only
-
-  // Configuration-quiescence epoch (kRealConcurrency fast release). Host-
-  // side atomics so the simulator's word placement is untouched.
+  std::uint32_t recursion_depth_ = 0;
+  /// The current exclusive hold began with a grant (kRealConcurrency):
+  /// the state word is in full mode until this owner releases.
+  bool full_mode_hold_ = false;
+  Nanos acquire_time_ = 0;
+  // Configuration-quiescence epoch (kRealConcurrency fast release).
   std::atomic<std::uint32_t> quiesce_breakers_{0};
   std::atomic<std::uint32_t> fast_releases_inflight_{0};
   /// Pre-selected grantee for the next release (owned by the module owner;
@@ -2627,10 +2677,10 @@ class ConfigurableLock {
   std::atomic<WaiterRecord<P>*> next_grant_{nullptr};
   /// Scheduler version at pre-selection time (priority-kind validation).
   std::atomic<std::uint64_t> next_grant_version_{0};
+  WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
+  GrantBatch<P> grant_scratch_; ///< reused by the module owner only
 
-  // Owner-only bookkeeping.
-  std::uint32_t recursion_depth_ = 0;
-  Nanos acquire_time_ = 0;
+  alignas(kCacheLineSize) WaiterQueue<P> sleepers_;  ///< kNone sleepers (meta)
 
   // Per-thread waiting-policy overrides. Simulated platforms: map, guarded
   // by meta. kRealConcurrency platforms: lazily allocated flat slot array
@@ -2650,7 +2700,9 @@ class ConfigurableLock {
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};
 
-  std::atomic<std::uint32_t> waiter_count_{0};
+  /// Written by every arrival and by every grantee (take_grant).
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> waiter_count_{0};
+  /// Starts a line of its own (its hot shards are cache-padded).
   LockMonitor monitor_;
   /// relock-trace identity; empty (and size-free) without RELOCK_TRACE.
   [[no_unique_address]] TraceTag trace_tag_;

@@ -474,7 +474,10 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
 ///
 /// By default the module owns its cell (standalone/simulator use); the
 /// lock constructs it over the lock-resident cell instead so the cell's
-/// identity survives configure_scheduler round trips.
+/// identity survives configure_scheduler round trips. The lock also serves
+/// kFcfs from the cell on kRealConcurrency platforms (the FIFO is the
+/// same; see ConfigurableLock::cell_served), so the façade reports the
+/// kind it was built for.
 template <Platform P>
 class DistributedQueueScheduler final : public Scheduler<P> {
  public:
@@ -482,11 +485,11 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   using Cell = WaitQueueCell<P>;
 
   DistributedQueueScheduler() : cell_(&owned_) {}
-  explicit DistributedQueueScheduler(Cell* cell) : cell_(cell) {}
+  explicit DistributedQueueScheduler(Cell* cell,
+                                     SchedulerKind kind = SchedulerKind::kQueue)
+      : cell_(cell), kind_(kind) {}
 
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kQueue;
-  }
+  [[nodiscard]] SchedulerKind kind() const noexcept override { return kind_; }
   [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
     return SuccessorPolicy::kStableHead;  // FIFO: the queue head stays put
   }
@@ -662,6 +665,7 @@ class DistributedQueueScheduler final : public Scheduler<P> {
 
   Cell owned_;
   Cell* cell_;
+  SchedulerKind kind_ = SchedulerKind::kQueue;
 };
 
 /// Factory for dynamic scheduler reconfiguration.

@@ -41,12 +41,24 @@ TEST(RelockCheckDeep, Handoff2Bound3) {
   expect_exhaustive(scenarios::handoff2(), 3);
 }
 
+TEST(RelockCheckDeep, StackHandoff2Bound3) {
+  expect_exhaustive(scenarios::handoff2(scenarios::kStackFifo), 3);
+}
+
 TEST(RelockCheckDeep, ParkedHandoff2Bound3) {
   expect_exhaustive(scenarios::parked_handoff2(), 3);
 }
 
+TEST(RelockCheckDeep, StackParkedHandoff2Bound3) {
+  expect_exhaustive(scenarios::parked_handoff2(scenarios::kStackFifo), 3);
+}
+
 TEST(RelockCheckDeep, Epoch2Bound3) {
   expect_exhaustive(scenarios::epoch2(), 3);
+}
+
+TEST(RelockCheckDeep, StackEpoch2Bound3) {
+  expect_exhaustive(scenarios::epoch2(scenarios::kStackFifo), 3);
 }
 
 TEST(RelockCheckDeep, Possess2Bound3) {
@@ -55,6 +67,10 @@ TEST(RelockCheckDeep, Possess2Bound3) {
 
 TEST(RelockCheckDeep, Timeout2Bound3) {
   expect_exhaustive(scenarios::timeout2(), 3);
+}
+
+TEST(RelockCheckDeep, StackTimeout2Bound3) {
+  expect_exhaustive(scenarios::timeout2(scenarios::kStackFifo), 3);
 }
 
 TEST(RelockCheckDeep, Swap2Bound3) {
@@ -73,6 +89,14 @@ TEST(RelockCheckDeep, QueueConfig2Bound3) {
   expect_exhaustive(scenarios::queue_config2(), 3);
 }
 
+TEST(RelockCheckDeep, QueueStackConfig2Bound3) {
+  expect_exhaustive(scenarios::queue_config2(scenarios::kStackFifo), 3);
+}
+
+TEST(RelockCheckDeep, CellFlip2Bound3) {
+  expect_exhaustive(scenarios::cell_flip2(), 3);
+}
+
 #if RELOCK_ASYNC_ENABLED
 TEST(RelockCheckDeep, AsyncGrant2Bound3) {
   expect_exhaustive(scenarios::async_grant2(), 3);
@@ -85,6 +109,10 @@ TEST(RelockCheckDeep, AsyncInline2Bound3) {
 
 TEST(RelockCheckDeep, Fanout3Bound3) {
   expect_exhaustive(scenarios::fanout3(), 3);
+}
+
+TEST(RelockCheckDeep, StackFanout3Bound3) {
+  expect_exhaustive(scenarios::fanout3(scenarios::kStackFifo), 3);
 }
 
 TEST(RelockCheckDeep, TableInflate2Bound3) {

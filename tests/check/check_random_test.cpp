@@ -50,18 +50,25 @@ class RelockCheckRandom : public ::testing::Test {
 std::uint64_t RelockCheckRandom::seed_ = 0;
 std::uint64_t RelockCheckRandom::schedules_ = 0;
 
-TEST_F(RelockCheckRandom, Fanout3) { explore_clean(scenarios::fanout3()); }
+// Each FIFO scenario runs on kFcfs (cell-served) and on its stack twin.
+TEST_F(RelockCheckRandom, Fanout3) {
+  explore_clean(scenarios::fanout3());
+  explore_clean(scenarios::fanout3(scenarios::kStackFifo));
+}
 
 TEST_F(RelockCheckRandom, Churn3WithInjections) {
   explore_clean(scenarios::churn3());
+  explore_clean(scenarios::churn3(scenarios::kStackFifo));
 }
 
 TEST_F(RelockCheckRandom, AdvisoryFanout3) {
   explore_clean(scenarios::advisory3());
+  explore_clean(scenarios::advisory3(scenarios::kStackFifo));
 }
 
 TEST_F(RelockCheckRandom, GuardedHandoff3) {
   explore_clean(scenarios::guarded3());
+  explore_clean(scenarios::guarded3(scenarios::kStackFifo));
 }
 
 TEST_F(RelockCheckRandom, PriorityFairness4) {

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "relock/check/engine.hpp"
 #include "relock/check/platform.hpp"
@@ -34,6 +35,22 @@ inline std::shared_ptr<Lock> make_lock(
   return std::make_shared<Lock>(f.domain(), o);
 }
 
+/// The FIFO kind of a stack twin. On kRealConcurrency platforms (the check
+/// platform included) kFcfs is served from the lock's MCS queue cell, like
+/// kQueue, so the kFcfs scenarios below exercise the cell. Each takes the
+/// kind as a parameter; passing kStackFifo gives the twin whose arrivals
+/// take the arrival stack, its drain and the module select instead. A
+/// priority queue at equal priority is FIFO among equals, so the twins keep
+/// the kFcfs fairness oracle.
+inline constexpr SchedulerKind kStackFifo = SchedulerKind::kPriorityQueue;
+
+/// Scenario name of a FIFO scenario: `base` on kFcfs, `stack_<base>` on
+/// the stack twin.
+inline std::string fifo_name(const char* base, SchedulerKind kind) {
+  return kind == SchedulerKind::kFcfs ? std::string(base)
+                                      : "stack_" + std::string(base);
+}
+
 /// lock; critical section; unlock - the basic oracle-annotated cycle.
 inline void lock_cycle(const std::shared_ptr<Lock>& lk, Context& ctx) {
   lk->lock(ctx);
@@ -44,12 +61,12 @@ inline void lock_cycle(const std::shared_ptr<Lock>& lk, Context& ctx) {
 
 /// Two spinning threads race one FCFS lock: registration, lock-free
 /// arrival, direct handoff, lost-release guard, next_grant_ pre-selection.
-inline Scenario handoff2() {
+inline Scenario handoff2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "handoff2";
+  s.name = fifo_name("handoff2", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs);
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind);
     for (int i = 0; i < 2; ++i) {
       f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     }
@@ -62,12 +79,12 @@ inline Scenario handoff2() {
 /// split-deposit variant is seeded bug 2. The holder yields between its
 /// critical section and the release so the contender's registration and
 /// park can interleave with the handoff without spending DFS preemptions.
-inline Scenario parked_handoff2() {
+inline Scenario parked_handoff2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "parked_handoff2";
+  s.name = fifo_name("parked_handoff2", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs, LockAttributes::blocking());
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind, LockAttributes::blocking());
     f.add_thread(1, [lk](Context& ctx) {
       lk->lock(ctx);
       ctx.cs_enter();
@@ -82,12 +99,12 @@ inline Scenario parked_handoff2() {
 
 /// A waiting-policy reconfiguration (QuiesceGuard: breaker arm, epoch
 /// drain) races a lock/unlock stream: epoch-safety oracle territory.
-inline Scenario epoch2() {
+inline Scenario epoch2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "epoch2";
+  s.name = fifo_name("epoch2", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs);
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind);
     f.add_thread(1, [lk](Context& ctx) {
       lock_cycle(lk, ctx);
       lk->configure_waiting(ctx, LockAttributes::backoff_spin(4));
@@ -120,12 +137,12 @@ inline Scenario possess2() {
 /// A conditional (timed) acquisition races the holder's release: the
 /// timeout may fire before, during, or after the grant; withdrawal
 /// soundness and the timed waiter's standing breaker are the targets.
-inline Scenario timeout2() {
+inline Scenario timeout2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "timeout2";
+  s.name = fifo_name("timeout2", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs, LockAttributes::blocking());
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind, LockAttributes::blocking());
     f.add_thread(1, [lk](Context& ctx) {
       lk->lock(ctx);
       ctx.cs_enter();
@@ -148,12 +165,13 @@ inline Scenario timeout2() {
 /// no sleep phase. Every waiting round must still probe once (grant flag,
 /// or a claim of the state word for kNone) and check the deadline, or the
 /// timed waiter spins on pause points forever - a livelock the step budget
-/// reports. One scenario per probe kind and arrival publisher.
+/// reports. One scenario per probe kind and arrival publisher (kFcfs and
+/// kQueue both publish into the cell; the stack twin takes the stack).
 inline Scenario degenerate2(SchedulerKind kind) {
   Scenario s;
   s.name = kind == SchedulerKind::kQueue  ? "queue_degenerate2"
            : kind == SchedulerKind::kNone ? "cent_degenerate2"
-                                          : "degenerate2";
+                                          : fifo_name("degenerate2", kind);
   s.fairness = kind == SchedulerKind::kNone ? FairnessMode::kNone
                                             : FairnessMode::kFcfs;
   s.build = [kind](ScenarioFrame& f) {
@@ -197,12 +215,12 @@ inline Scenario swap2() {
 /// Three spinning threads on one FCFS lock. Deep enough that a guarded
 /// grant (select-empty fast-release abort with a late-arriving waiter) can
 /// overlap the new owner's own fast release - the window of seeded bug 1.
-inline Scenario fanout3() {
+inline Scenario fanout3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "fanout3";
+  s.name = fifo_name("fanout3", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs);
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind);
     for (int i = 0; i < 3; ++i) {
       f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     }
@@ -320,16 +338,20 @@ inline Scenario queue_timeout2() {
 }
 
 /// Reconfiguration to and from the distributed queue racing contended
-/// cycles: a waiter linked in the cell when the configuration moves to
-/// kFcfs must be served by the queue façade under the configuration-delay
-/// rule (or swept by the stray drain if its tail-swap raced the install),
-/// and the return to kQueue must serve FCFS leftovers before cell
-/// arrivals.
-inline Scenario queue_config2() {
+/// cycles. With the default middle kind (kFcfs, cell-served like kQueue)
+/// both switches are cell -> cell and install immediately: a waiter linked
+/// in the cell stays where the incoming module serves it. With a
+/// stack-served middle kind (the cell <-> stack twin) a waiter linked in
+/// the cell when the configuration moves away must be served by the queue
+/// façade under the configuration-delay rule (or swept by the stray drain
+/// if its tail-swap raced the install), and the return to kQueue must
+/// serve the stack kind's leftovers before cell arrivals.
+inline Scenario queue_config2(SchedulerKind middle = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "queue_config2";
+  s.name = middle == SchedulerKind::kFcfs ? "queue_config2"
+                                          : "queue_stack_config2";
   s.fairness = FairnessMode::kNone;  // two Gammas: only the generation rule
-  s.build = [](ScenarioFrame& f) {
+  s.build = [middle](ScenarioFrame& f) {
     auto lk = make_lock(f, SchedulerKind::kQueue);
     f.add_thread(1, [lk](Context& ctx) {
       lk->lock(ctx);
@@ -339,10 +361,61 @@ inline Scenario queue_config2() {
       lk->unlock(ctx);
       lock_cycle(lk, ctx);
     });
-    f.add_thread(1, [lk](Context& ctx) {
-      lk->configure_scheduler(ctx, SchedulerKind::kFcfs);
+    f.add_thread(1, [lk, middle](Context& ctx) {
+      lk->configure_scheduler(ctx, middle);
       lock_cycle(lk, ctx);
       lk->configure_scheduler(ctx, SchedulerKind::kQueue);
+    });
+  };
+  return s;
+}
+
+/// kFcfs -> kQueue -> kFcfs flips made by the holder while the other
+/// thread's record is linked in the cell, racing that thread's next
+/// arrival. Both kinds are cell-served, so each switch must install
+/// immediately (no configuration delay, which would keep the fast release
+/// off while the cell stays non-empty), the linked waiter must be granted
+/// through the switch in FIFO order (the configuration-delay oracle orders
+/// the generations, the FCFS oracle each one), and no record may be left
+/// in the cell at the end.
+inline Scenario cell_flip2() {
+  Scenario s;
+  s.name = "cell_flip2";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kFcfs);
+    Engine* chk = &f.engine();
+    const auto flip = [lk, chk](Context& ctx, SchedulerKind to) {
+      lk->configure_scheduler(ctx, to);
+      if (lk->reconfiguration_pending()) {
+        chk->fail_here(ctx, "cell_flip2: a switch between cell-served "
+                            "kinds left a configuration delay pending");
+      }
+    };
+    f.add_thread(1, [lk, flip](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      CheckPlatform::yield(ctx);
+      flip(ctx, SchedulerKind::kQueue);
+      ctx.cs_exit();
+      lk->unlock(ctx);
+      lk->lock(ctx);
+      ctx.cs_enter();
+      flip(ctx, SchedulerKind::kFcfs);
+      ctx.cs_exit();
+      lk->unlock(ctx);
+    });
+    f.add_thread(1, [lk](Context& ctx) {
+      lock_cycle(lk, ctx);
+      lock_cycle(lk, ctx);
+    });
+    f.on_finish([lk, chk] {
+      if (lk->scheduler_kind() != SchedulerKind::kFcfs) {
+        chk->fail_host("cell_flip2: final scheduler must be kFcfs");
+      }
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("cell_flip2: a record was stranded in the cell");
+      }
     });
   };
   return s;
@@ -378,14 +451,15 @@ inline Scenario fissile_trace2() {
 /// select-empty guarded detour - the route into seeded bug 1's window
 /// (grant_or_free's exclusive handoff overlapping the new owner's own
 /// fast release). On a fissile lock that release is now a single CAS and
-/// the detour is unreachable without a breaker armed.
-inline Scenario advisory3() {
+/// the detour is unreachable without a breaker armed. Only the stack twin
+/// reaches the window: a cell-served fast release pops the cell and never
+/// touches the grant scratch.
+inline Scenario advisory3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "advisory3";
+  s.name = fifo_name("advisory3", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs, LockAttributes::spin(),
-                        /*advisory=*/true);
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind, LockAttributes::spin(), /*advisory=*/true);
     for (int i = 0; i < 3; ++i) {
       f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     }
@@ -401,12 +475,12 @@ inline Scenario advisory3() {
 /// plain fanout3 can no longer reach that overlap: with no breaker armed,
 /// a releaser that would have taken the select-empty guarded detour now
 /// short-circuits at the fissile held->free CAS.)
-inline Scenario guarded3() {
+inline Scenario guarded3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "guarded3";
+  s.name = fifo_name("guarded3", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs);
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind);
     for (int i = 0; i < 2; ++i) {
       f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     }
@@ -422,12 +496,12 @@ inline Scenario guarded3() {
 /// Mixed-policy churn with fault injection: possession-window
 /// reconfiguration, spurious parker tokens, and an oversubscription flip
 /// mid-stream. PCT fodder.
-inline Scenario churn3() {
+inline Scenario churn3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
-  s.name = "churn3";
+  s.name = fifo_name("churn3", kind);
   s.fairness = FairnessMode::kFcfs;
-  s.build = [](ScenarioFrame& f) {
-    auto lk = make_lock(f, SchedulerKind::kFcfs,
+  s.build = [kind](ScenarioFrame& f) {
+    auto lk = make_lock(f, kind,
                         LockAttributes{/*spin=*/2, /*delay=*/0,
                                        /*sleep=*/400, /*timeout=*/0});
     f.add_thread(1, [lk](Context& ctx) {

@@ -30,16 +30,21 @@ void expect_exhaustive(const Scenario& s, std::uint32_t bound) {
               static_cast<unsigned long long>(r.steps));
 }
 
+// kFcfs is cell-served on the check platform; each kFcfs scenario whose
+// protocol the arrival stack also runs has a stack twin (kStackFifo).
 TEST(RelockCheckSmoke, Handoff2Exhaustive) {
   expect_exhaustive(scenarios::handoff2(), 2);
+  expect_exhaustive(scenarios::handoff2(scenarios::kStackFifo), 2);
 }
 
 TEST(RelockCheckSmoke, ParkedHandoff2Exhaustive) {
   expect_exhaustive(scenarios::parked_handoff2(), 2);
+  expect_exhaustive(scenarios::parked_handoff2(scenarios::kStackFifo), 2);
 }
 
 TEST(RelockCheckSmoke, Epoch2Exhaustive) {
   expect_exhaustive(scenarios::epoch2(), 2);
+  expect_exhaustive(scenarios::epoch2(scenarios::kStackFifo), 2);
 }
 
 TEST(RelockCheckSmoke, Possess2Exhaustive) {
@@ -48,11 +53,13 @@ TEST(RelockCheckSmoke, Possess2Exhaustive) {
 
 TEST(RelockCheckSmoke, Timeout2Exhaustive) {
   expect_exhaustive(scenarios::timeout2(), 2);
+  expect_exhaustive(scenarios::timeout2(scenarios::kStackFifo), 2);
 }
 
 TEST(RelockCheckSmoke, Degenerate2Exhaustive) {
   // A timed waiter under (0, 0, 0, 0) on each waiting engine: arrival
-  // stack, queue cell, and the centralized claim.
+  // stack, queue cell (kFcfs and kQueue), and the centralized claim.
+  expect_exhaustive(scenarios::degenerate2(scenarios::kStackFifo), 2);
   expect_exhaustive(scenarios::degenerate2(relock::SchedulerKind::kFcfs), 2);
   expect_exhaustive(scenarios::degenerate2(relock::SchedulerKind::kQueue), 2);
   expect_exhaustive(scenarios::degenerate2(relock::SchedulerKind::kNone), 2);
@@ -86,9 +93,18 @@ TEST(RelockCheckSmoke, QueueTimeout2Exhaustive) {
 }
 
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {
-  // kQueue -> kFcfs -> kQueue reconfiguration with linked waiters:
-  // configuration delay, stray sweep, and FIFO across the generations.
+  // kQueue -> kFcfs -> kQueue reconfiguration with linked waiters: two
+  // immediate cell -> cell installs. The twin goes through a stack-served
+  // kind: configuration delay, stray sweep, and FIFO across the
+  // generations.
   expect_exhaustive(scenarios::queue_config2(), 2);
+  expect_exhaustive(scenarios::queue_config2(scenarios::kStackFifo), 2);
+}
+
+TEST(RelockCheckSmoke, CellFlip2Exhaustive) {
+  // kFcfs -> kQueue -> kFcfs by the holder with a waiter linked in the
+  // cell: immediate install, FIFO through the switch, nothing stranded.
+  expect_exhaustive(scenarios::cell_flip2(), 2);
 }
 
 TEST(RelockCheckSmoke, EngineTick2Exhaustive) {
@@ -133,12 +149,14 @@ TEST(RelockCheckSmoke, MonitorReset2Exhaustive) {
 // ~1 min) runs under the `stress` ctest label, see check_deep_test.
 TEST(RelockCheckSmoke, Fanout3Bound2Exhaustive) {
   expect_exhaustive(scenarios::fanout3(), 2);
+  expect_exhaustive(scenarios::fanout3(scenarios::kStackFifo), 2);
 }
 
 TEST(RelockCheckSmoke, Guarded3Bound2Exhaustive) {
   // Possession window forcing a fissile releaser onto the guarded handoff
   // path - the fast->full->fast round trip with a waiter in flight.
   expect_exhaustive(scenarios::guarded3(), 2);
+  expect_exhaustive(scenarios::guarded3(scenarios::kStackFifo), 2);
 }
 
 // The engine is deterministic: the same strategy explores the identical
