@@ -104,7 +104,7 @@ struct AsyncGate {
     Scheduler<P>* target = lk.arrival_module();
     rec.registered_with = target;
     target->enqueue(rec);
-    lk.waiter_count_.fetch_add(1, std::memory_order_relaxed);
+    lk.count_arrival();
     lk.meta_unlock(ctx);
     return false;
   }

@@ -671,8 +671,17 @@ class ConfigurableLock {
   [[nodiscard]] const LockMonitor& monitor() const noexcept {
     return monitor_;
   }
+  /// Arrivals minus departures. Arrivals are loaded first: a thread's
+  /// next arrival follows its previous record's departure, so everything
+  /// counted is a distinct live thread and churn between the two loads can
+  /// only undercount. A grant may land before its arrival's bump; the
+  /// transient negative reads as 0.
   [[nodiscard]] std::uint32_t waiter_count() const {
-    return waiter_count_.load(std::memory_order_relaxed);
+    const std::uint32_t in = waiters_arrived_.load(std::memory_order_acquire);
+    const std::uint32_t out =
+        waiters_departed_.load(std::memory_order_acquire);
+    const auto live = static_cast<std::int32_t>(in - out);
+    return live > 0 ? static_cast<std::uint32_t>(live) : 0;
   }
 
   /// The lock's state per the paper's Figure 4, using a costed read of the
@@ -727,6 +736,23 @@ class ConfigurableLock {
   [[nodiscard]] bool is_owner(Ctx& ctx) {
     return P::load(ctx, owner_) ==
            static_cast<std::uint64_t>(ctx.self()) + 1;
+  }
+
+  /// The owner word is read only by is_owner(), i.e. by recursive locks.
+  /// Real-concurrency platforms store it for those alone: elsewhere it is
+  /// a line the previous owner wrote, stored ahead of every grant. The
+  /// simulator keeps every store - its calibrated tables cost them.
+  void store_owner(Ctx& ctx, std::uint64_t tid_plus_one) {
+    if (!kRealConcurrency<P> || opts_.recursive) {
+      P::store(ctx, owner_, tid_plus_one);
+    }
+  }
+
+  /// Clears a selected record's module registration. Cell records carry
+  /// none, so the common handoff skips the store and leaves the waiter's
+  /// handoff line shared.
+  static void unregister(WaiterRecord<P>& w) noexcept {
+    if (w.registered_with != nullptr) w.registered_with = nullptr;
   }
 
   /// True while some thread/batch holds the lock. Meta must be held (used
@@ -1140,9 +1166,8 @@ class ConfigurableLock {
         chk_point<P>(ctx, "qa.first");
         queue_cell_.first.store(&rec, std::memory_order_release);
       }
-      queue_cell_.count.fetch_add(1, std::memory_order_relaxed);
     }
-    waiter_count_.fetch_add(1, std::memory_order_relaxed);
+    count_arrival();
 
     // Full-mode mark + lost-release guard. The contended-bit fetch_or does
     // two jobs. (a) It disables the owner's single-CAS fast unlock while
@@ -1210,7 +1235,7 @@ class ConfigurableLock {
     // Registration order is fixed by the enqueue under meta: report it to
     // the checker before any releaser can grant the record.
     note(ctx, LockEvent::kRegistered, ctx.self());
-    waiter_count_.fetch_add(1, std::memory_order_relaxed);
+    count_arrival();
     meta_unlock(ctx);
 
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
@@ -1238,17 +1263,28 @@ class ConfigurableLock {
   WaitResult timed_out(Ctx& ctx, const WaiterRecord<P>& rec) {
     note(ctx, LockEvent::kTimeoutReturn, rec.tid);
     meta_unlock(ctx);
-    waiter_count_.fetch_sub(1, std::memory_order_relaxed);
+    count_departures(1);
     monitor_.on_timeout();
     return WaitResult::kTimedOut;
   }
 
-  /// A registered waiter was granted the lock: it stops counting as a
-  /// waiter and becomes the owner.
+  /// A registered waiter was granted the lock and becomes the owner. Its
+  /// departure was counted by the granter.
   bool take_grant(Ctx& ctx, bool shared, Nanos t0) {
-    waiter_count_.fetch_sub(1, std::memory_order_relaxed);
     on_granted(ctx, shared, t0);
     return true;
+  }
+
+  // Waiter accounting (waiter_count()): two monotone counters, each on a
+  // line its writer already owns. An arrival counts itself once its record
+  // is reachable, on the queue cell's line; whoever grants or withdraws a
+  // record counts the departure, on the owner release line, before the
+  // grant store.
+  void count_arrival() noexcept {
+    waiters_arrived_.fetch_add(1, std::memory_order_release);
+  }
+  void count_departures(std::uint32_t n) noexcept {
+    waiters_departed_.fetch_add(n, std::memory_order_release);
   }
 
   /// Centralized (SchedulerKind::kNone) waiting. The record is not queued
@@ -1264,12 +1300,10 @@ class ConfigurableLock {
       // whole wait so state() can report kIdle (free with waiting threads,
       // Figure 4).
       struct CountGuard {
-        std::atomic<std::uint32_t>& count;
-        explicit CountGuard(std::atomic<std::uint32_t>& c) : count(c) {
-          count.fetch_add(1, std::memory_order_relaxed);
-        }
-        ~CountGuard() { count.fetch_sub(1, std::memory_order_relaxed); }
-      } count_guard{waiter_count_};
+        ConfigurableLock& lk;
+        explicit CountGuard(ConfigurableLock& l) : lk(l) { lk.count_arrival(); }
+        ~CountGuard() { lk.count_departures(1); }
+      } count_guard{*this};
       r = wait<Probe::kClaim>(ctx, rec, attrs, deadline);
     }
     if (r == WaitResult::kGranted) {
@@ -1349,137 +1383,21 @@ class ConfigurableLock {
   // next platform access after linking (the arr.mark fetch_or) re-enables
   // a gated spinner under the checker, so the waits are finite there too.
 
-  /// Adopts the current generation's published first arrival into the
-  /// consumer cursor. Caller observed tail != nullptr with head == nullptr,
-  /// so a producer is committed to publishing the slot.
-  void queue_adopt_first(Ctx& ctx) {
-    chk_point<P>(ctx, "qc.first");
-    WaiterRecord<P>* f;
-    std::uint32_t streak = 0;
-    while ((f = queue_cell_.first.load(std::memory_order_acquire)) ==
-           nullptr) {
-      spin_step(ctx, streak);
-    }
-    queue_cell_.head = f;
-    queue_cell_.first.store(nullptr, std::memory_order_relaxed);
+  /// The await the lock runs the cell's consumer operations with (see
+  /// WaitQueueCell): a paced spin on the slot, announced to the checker.
+  [[nodiscard]] auto cell_await(Ctx& ctx) {
+    return [&ctx](const char* point, std::atomic<WaiterRecord<P>*>& slot) {
+      chk_point<P>(ctx, point);
+      std::uint32_t streak = 0;
+      WaiterRecord<P>* r;
+      while ((r = slot.load(std::memory_order_acquire)) == nullptr) {
+        spin_step(ctx, streak);
+      }
+      return r;
+    };
   }
-
-  /// Pops the queue head; returns nullptr only when the cell is empty.
   [[nodiscard]] WaiterRecord<P>* queue_pop(Ctx& ctx) {
-    WaitQueueCell<P>& c = queue_cell_;
-    if (c.head == nullptr) {
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr) return nullptr;
-      queue_adopt_first(ctx);
-    }
-    WaiterRecord<P>* const h = c.head;
-    WaiterRecord<P>* nxt = h->qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // No visible successor: h may be the last node. Swing the tail back
-      // to empty; losing the CAS means a producer swapped in behind h, so
-      // adopt its link once it lands.
-      WaiterRecord<P>* expected = h;
-      if (c.tail.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_seq_cst)) {
-        c.head = nullptr;
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return h;
-      }
-      chk_point<P>(ctx, "qc.chase");
-      std::uint32_t streak = 0;
-      while ((nxt = h->qnext.load(std::memory_order_acquire)) == nullptr) {
-        spin_step(ctx, streak);
-      }
-    }
-    c.head = nxt;
-    h->qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    return h;
-  }
-
-  /// Unlinks `rec` from the cell wherever it sits - MCS-with-timeout node
-  /// self-removal, run by the timed-out thread itself under meta. Returns
-  /// false when the record is not in the cell.
-  [[nodiscard]] bool queue_remove(Ctx& ctx, WaiterRecord<P>& rec) {
-    WaitQueueCell<P>& c = queue_cell_;
-    if (c.head == nullptr) {
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr) return false;
-      queue_adopt_first(ctx);
-    }
-    WaiterRecord<P>* prev = nullptr;
-    WaiterRecord<P>* cur = c.head;
-    while (cur != &rec) {
-      WaiterRecord<P>* nxt = cur->qnext.load(std::memory_order_acquire);
-      if (nxt == nullptr) {
-        if (c.tail.load(std::memory_order_seq_cst) == cur) return false;
-        // A successor (possibly rec) is mid-link behind cur: wait it out.
-        chk_point<P>(ctx, "qc.chase");
-        std::uint32_t streak = 0;
-        while ((nxt = cur->qnext.load(std::memory_order_acquire)) ==
-               nullptr) {
-          spin_step(ctx, streak);
-        }
-      }
-      prev = cur;
-      cur = nxt;
-    }
-    WaiterRecord<P>* nxt = rec.qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // No visible successor: rec may be the tail. Pre-clear the
-      // predecessor's link BEFORE swinging the tail to it - the instant
-      // the CAS lands, a new producer may store through prev->qnext, and
-      // a late clear would erase that link.
-      if (prev != nullptr) {
-        prev->qnext.store(nullptr, std::memory_order_release);
-      }
-      WaiterRecord<P>* expected = &rec;
-      if (c.tail.compare_exchange_strong(expected, prev,
-                                         std::memory_order_seq_cst)) {
-        if (prev == nullptr) c.head = nullptr;
-        rec.qnext.store(nullptr, std::memory_order_relaxed);
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      }
-      // Lost to a producer that swapped in behind rec: adopt its link.
-      chk_point<P>(ctx, "qc.chase");
-      std::uint32_t streak = 0;
-      while ((nxt = rec.qnext.load(std::memory_order_acquire)) == nullptr) {
-        spin_step(ctx, streak);
-      }
-    }
-    if (prev != nullptr) {
-      prev->qnext.store(nxt, std::memory_order_release);
-    } else {
-      c.head = nxt;
-    }
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Consumer-side head re-insertion (reclaim of a fast-release
-  /// pre-selection): the record was the oldest candidate and goes back in
-  /// front.
-  void queue_push_front(Ctx& ctx, WaiterRecord<P>& rec) {
-    WaitQueueCell<P>& c = queue_cell_;
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
-    if (c.head == nullptr) {
-      WaiterRecord<P>* expected = nullptr;
-      if (c.tail.load(std::memory_order_seq_cst) == nullptr &&
-          c.tail.compare_exchange_strong(expected, &rec,
-                                         std::memory_order_seq_cst)) {
-        // Empty cell: rec is first and last; producers link behind it.
-        c.head = &rec;
-        c.count.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      // A producer won the empty slot. rec is the reclaimed oldest waiter
-      // and still goes first: adopt the producer's publication as the
-      // queue behind rec.
-      queue_adopt_first(ctx);
-    }
-    rec.qnext.store(c.head, std::memory_order_release);
-    c.head = &rec;
-    c.count.fetch_add(1, std::memory_order_relaxed);
+    return queue_cell_.pop(cell_await(ctx));
   }
 
   /// Meta held, kRealConcurrency only. A thread that read a cell-served
@@ -1522,7 +1440,7 @@ class ConfigurableLock {
       // façade's non-waiting remove cannot wait out an in-flight producer
       // link; the lock-side remover can. Not found in the cell means the
       // orphan queue.
-      if (queue_remove(ctx, rec)) return;
+      if (queue_cell_.remove(rec, cell_await(ctx))) return;
     }
     orphans_.remove(rec);
     (void)ctx;
@@ -1892,7 +1810,7 @@ class ConfigurableLock {
       next_grant_.store(nullptr, std::memory_order_relaxed);
       return;
     }
-    nxt->registered_with = nullptr;
+    unregister(*nxt);
     next_grant_version_.store(sched.version(), std::memory_order_relaxed);
     next_grant_.store(nxt, std::memory_order_relaxed);
   }
@@ -1908,7 +1826,7 @@ class ConfigurableLock {
       if (scheduler_ != nullptr) {
         if (cell_served(scheduler_->kind())) {
           cached->registered_with = nullptr;  // see enlist()
-          queue_push_front(ctx, *cached);
+          queue_cell_.push_front(*cached, cell_await(ctx));
         } else {
           cached->registered_with = scheduler_.get();
           scheduler_->enqueue_front(*cached);
@@ -2006,7 +1924,7 @@ class ConfigurableLock {
         succ = grant_scratch_.front();
         grant_scratch_.clear();
       }
-      succ->registered_with = nullptr;
+      unregister(*succ);
     } else {
       next_grant_.store(nullptr, std::memory_order_relaxed);
     }
@@ -2025,8 +1943,9 @@ class ConfigurableLock {
     const bool may_sleep = succ->may_sleep;
     const typename WaiterRecord<P>::GrantHook hook = succ->grant_hook;
     void* const hook_arg = succ->grant_hook_arg;
-    P::store(ctx, owner_, static_cast<std::uint64_t>(tid) + 1);
+    store_owner(ctx, static_cast<std::uint64_t>(tid) + 1);
     monitor_.on_handoff();
+    count_departures(1);
     P::store(ctx, succ->granted, 1);
     note(ctx, LockEvent::kGranted, tid);
     if (may_sleep) {
@@ -2071,7 +1990,7 @@ class ConfigurableLock {
     } else {
       holders_ = 0;
       writer_held_ = false;
-      P::store(ctx, owner_, 0);
+      store_owner(ctx, 0);
     }
     grant_or_free(ctx, hint);  // releases meta
   }
@@ -2199,13 +2118,14 @@ class ConfigurableLock {
 #ifndef RELOCK_CHECK_SEEDED_BUG_1
         grant_scratch_.clear();
 #endif
-        P::store(ctx, owner_, static_cast<std::uint64_t>(w->tid) + 1);
-        w->registered_with = nullptr;
+        store_owner(ctx, static_cast<std::uint64_t>(w->tid) + 1);
+        unregister(*w);
         w->granted_flag_host = true;
         monitor_.on_handoff();
         const ThreadId tid = w->tid;
         const bool may_sleep = w->may_sleep;
         chain_hook(w);
+        count_departures(1);
         P::store(ctx, w->granted, 1);
         note(ctx, LockEvent::kGranted, tid);
 #ifdef RELOCK_CHECK_SEEDED_BUG_1
@@ -2224,8 +2144,9 @@ class ConfigurableLock {
       }
       // Shared batch: only reader-writer locks produce these, and RW locks
       // never take the fast-release path, so nobody races the scratch.
+      count_departures(holders_);
       for (WaiterRecord<P>* w : grant_scratch_) {
-        w->registered_with = nullptr;
+        unregister(*w);
         w->granted_flag_host = true;
         monitor_.on_handoff();
         if (w->may_sleep) queue_wake(w->tid);
@@ -2378,7 +2299,7 @@ class ConfigurableLock {
     note_trace(ctx,
                contended ? LockEvent::kAcquireSlow : LockEvent::kAcquireFast,
                ctx.self());
-    P::store(ctx, owner_, static_cast<std::uint64_t>(ctx.self()) + 1);
+    store_owner(ctx, static_cast<std::uint64_t>(ctx.self()) + 1);
     recursion_depth_ = 0;
     if constexpr (kRealConcurrency<P>) {
       full_mode_hold_ = false;
@@ -2647,10 +2568,10 @@ class ConfigurableLock {
   // Host-side line layout (kRealConcurrency). A contended handoff is a
   // chain of cache-line transfers, so words written by arriving waiters
   // and words written by the state-word owner's release never share a
-  // 64-byte line: the queue cell and the waiter count get lines of their
-  // own, and the owner's release state below starts a fresh line (the
-  // platform words above are padded by the native platform). Pinned by
-  // core_layout_test.
+  // 64-byte line: the queue cell and the arrival count share a line of
+  // their own, and the owner's release state below (the departure count
+  // included) starts a fresh line (the platform words above are padded by
+  // the native platform). Pinned by core_layout_test.
 
   /// Shared half of the cell-served (kFcfs/kQueue) waiter queue. Lock-
   /// resident - not module-resident - so lock-free arrivals can tail-swap
@@ -2658,6 +2579,9 @@ class ConfigurableLock {
   /// between kinds; every façade installed on this lock serves this one
   /// cell. Host atomics, so the simulator's word placement is untouched.
   alignas(kCacheLineSize) WaitQueueCell<P> queue_cell_;
+  /// Arrival half of waiter_count(), on the line a cell arrival's tail
+  /// swap already owns.
+  std::atomic<std::uint32_t> waiters_arrived_{0};
 
   // Owner release state: written by whoever runs the release module (the
   // state-word owner, or a meta holder on the guarded paths).
@@ -2677,6 +2601,9 @@ class ConfigurableLock {
   std::atomic<WaiterRecord<P>*> next_grant_{nullptr};
   /// Scheduler version at pre-selection time (priority-kind validation).
   std::atomic<std::uint64_t> next_grant_version_{0};
+  /// Departure half of waiter_count(): records granted or withdrawn. On
+  /// the first owner line, which a cell-served fast release touches anyway.
+  std::atomic<std::uint32_t> waiters_departed_{0};
   WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
   GrantBatch<P> grant_scratch_; ///< reused by the module owner only
 
@@ -2700,8 +2627,6 @@ class ConfigurableLock {
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};
 
-  /// Written by every arrival and by every grantee (take_grant).
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> waiter_count_{0};
   /// Starts a line of its own (its hot shards are cache-padded).
   LockMonitor monitor_;
   /// relock-trace identity; empty (and size-free) without RELOCK_TRACE.

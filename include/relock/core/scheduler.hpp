@@ -505,60 +505,22 @@ class DistributedQueueScheduler final : public Scheduler<P> {
     } else {
       cell_->first.store(&w, std::memory_order_release);
     }
-    cell_->count.fetch_add(1, std::memory_order_relaxed);
     this->bump_version();
   }
 
   /// Consumer-side head insertion (fast-release cache reclaim). Requires
   /// the consumer role; races only the producer protocol.
   void enqueue_front(Rec& w) override {
-    Cell& c = *cell_;
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    if (c.head == nullptr) {
-      Rec* expected = nullptr;
-      if (c.tail.compare_exchange_strong(expected, &w,
-                                         std::memory_order_seq_cst)) {
-        // Empty cell: we are the new generation's first and last. Later
-        // producers see a non-null tail and link behind us.
-        c.head = &w;
-        c.count.fetch_add(1, std::memory_order_relaxed);
-        this->bump_version();
-        return;
-      }
-      if (!normalize()) {
-        // A producer holds the publication window open. Unreachable where
-        // this is called (meta-serialized platforms / quiesced consumers);
-        // fall back to waiting for the publication.
-        spin_normalize();
-      }
-    }
-    w.qnext.store(c.head, std::memory_order_release);
-    c.head = &w;
-    c.count.fetch_add(1, std::memory_order_relaxed);
+    cell_->push_front(w, spin);
     this->bump_version();
   }
 
   /// Consumer-side withdrawal. Exact on meta-serialized platforms; on
   /// kRealConcurrency platforms the lock routes withdrawals through its
   /// own paced remover instead (an in-flight producer link can force a
-  /// wait this non-waiting interface cannot perform).
+  /// wait that only the lock can pace).
   void remove(Rec& w) override {
-    Cell& c = *cell_;
-    if (c.head == nullptr && !normalize()) return;
-    Rec* prev = nullptr;
-    Rec* cur = c.head;
-    while (cur != nullptr && cur != &w) {
-      Rec* nxt = cur->qnext.load(std::memory_order_acquire);
-      if (nxt == nullptr &&
-          c.tail.load(std::memory_order_seq_cst) != cur) {
-        spin_link(*cur, nxt);
-      }
-      prev = cur;
-      cur = nxt;
-    }
-    if (cur == nullptr) return;
-    unlink(prev, w);
-    this->bump_version();
+    if (cell_->remove(w, spin)) this->bump_version();
   }
 
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
@@ -574,8 +536,16 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   [[nodiscard]] bool empty() const noexcept override {
     return cell_->empty();
   }
+  /// Walks the consumer side: the adopted head, else the published first
+  /// arrival, along the qnext links. Exact at quiescence; a record whose
+  /// producer is still inside its publication window is not counted yet.
   [[nodiscard]] std::size_t size() const noexcept override {
-    return cell_->count.load(std::memory_order_relaxed);
+    std::size_t n = 0;
+    for (const Rec* r = peek_next(kInvalidThread); r != nullptr;
+         r = r->qnext.load(std::memory_order_acquire)) {
+      ++n;
+    }
+    return n;
   }
 
   [[nodiscard]] Rec* pop_any() noexcept override { return try_pop(); }
@@ -587,80 +557,21 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   /// producer's link publication is still in flight (callers retry or let
   /// the lock's paced consumer finish the job).
   [[nodiscard]] Rec* try_pop() noexcept {
-    Cell& c = *cell_;
-    if (c.head == nullptr && !normalize()) return nullptr;
-    Rec* h = c.head;
-    Rec* nxt = h->qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      Rec* expected = h;
-      if (c.tail.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_seq_cst)) {
-        c.head = nullptr;
-      } else {
-        // A successor is mid-link behind h: without waiting for the link
-        // we cannot pop h and keep its successor reachable.
-        nxt = h->qnext.load(std::memory_order_acquire);
-        if (nxt == nullptr) return nullptr;
-        c.head = nxt;
-      }
-    } else {
-      c.head = nxt;
-    }
-    h->qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
-    this->bump_version();
+    Rec* const h = cell_->pop([](const char*, std::atomic<Rec*>& slot) {
+      return slot.load(std::memory_order_acquire);
+    });
+    if (h != nullptr) this->bump_version();
     return h;
   }
 
-  /// Adopts a published first arrival into the consumer cursor. Returns
-  /// false when the queue is empty or the publication is still in flight.
-  [[nodiscard]] bool normalize() noexcept {
-    Cell& c = *cell_;
-    if (c.tail.load(std::memory_order_seq_cst) == nullptr) return false;
-    Rec* f = c.first.load(std::memory_order_acquire);
-    if (f == nullptr) return false;
-    c.head = f;
-    c.first.store(nullptr, std::memory_order_relaxed);
-    return true;
-  }
-
-  void spin_normalize() noexcept {
-    while (!normalize()) {
+  /// Waits a publication out by busy-polling. Reached only from the
+  /// consumer operations that cannot give up, and never on the simulator
+  /// (its registrations are meta-serialized, so no window is ever open).
+  static Rec* spin(const char*, std::atomic<Rec*>& slot) noexcept {
+    Rec* r;
+    while ((r = slot.load(std::memory_order_acquire)) == nullptr) {
     }
-  }
-
-  static void spin_link(Rec& r, Rec*& out) noexcept {
-    while ((out = r.qnext.load(std::memory_order_acquire)) == nullptr) {
-    }
-  }
-
-  /// Unlinks `w` (== prev->qnext, or the head when prev is null), waiting
-  /// out a mid-link successor if the tail CAS loses the race.
-  void unlink(Rec* prev, Rec& w) noexcept {
-    Cell& c = *cell_;
-    Rec* nxt = w.qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // Possibly the tail. Pre-clear the predecessor's link *before* the
-      // tail swing: once the CAS lands, a new producer may store through
-      // prev->qnext, and that store must not be overwritten.
-      if (prev != nullptr) prev->qnext.store(nullptr, std::memory_order_release);
-      Rec* expected = &w;
-      if (c.tail.compare_exchange_strong(expected, prev,
-                                         std::memory_order_seq_cst)) {
-        if (prev == nullptr) c.head = nullptr;
-        w.qnext.store(nullptr, std::memory_order_relaxed);
-        c.count.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-      spin_link(w, nxt);  // a successor linked behind w: route it to prev
-    }
-    if (prev != nullptr) {
-      prev->qnext.store(nxt, std::memory_order_release);
-    } else {
-      c.head = nxt;
-    }
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    c.count.fetch_sub(1, std::memory_order_relaxed);
+    return r;
   }
 
   Cell owned_;

@@ -37,16 +37,25 @@ struct WaiterRecord {
   /// configuration); otherwise on the lock's home node.
   typename P::Word granted;
 
-  ThreadId tid;
-  Priority priority;
-  bool shared;     ///< reader (lock_shared) vs. writer acquisition
-  bool may_sleep;  ///< waiting policy can sleep: granter must send a wakeup
+  // The handoff line: every field a releaser reads or writes when it
+  // selects and grants this record, besides `granted` itself, so a grant
+  // pulls this one line plus the flag's. On the native platform `granted`
+  // fills the line before it (pinned by core_layout_test).
 
-  /// Set under the lock's meta guard when the waiter has been dequeued and
-  /// granted; used to resolve the timeout-vs-grant race.
-  bool granted_flag_host = false;
+  /// Inline queue node for the distributed (SchedulerKind::kQueue) FIFO:
+  /// the MCS-style successor link, written once by the *next* arrival after
+  /// its tail-swap. nullptr means "no successor visible yet" — whether the
+  /// record is last is decided by comparing against the cell's tail, so no
+  /// pending sentinel is needed.
+  std::atomic<WaiterRecord*> qnext{nullptr};
 
-  Nanos enqueue_time = 0;
+  /// The scheduler module this record was registered with (set under the
+  /// lock's meta guard). Timeout withdrawal must remove the record from the
+  /// module that actually holds it — the lock may have been reconfigured
+  /// (and a different module made current) while the thread waited.
+  /// nullptr while unregistered, when served from the lock's queue cell,
+  /// or when parked on the lock's orphan queue.
+  Scheduler<P>* registered_with = nullptr;
 
   /// Grant-delivery hook: the parker abstraction for waiters that are not
   /// threads. A thread waiter (hook == nullptr) polls/sleeps on `granted`;
@@ -61,24 +70,21 @@ struct WaiterRecord {
   /// are chained here so their hooks can run after meta_unlock.
   WaiterRecord* hook_next = nullptr;
 
-  /// The scheduler module this record was registered with (set under the
-  /// lock's meta guard). Timeout withdrawal must remove the record from the
-  /// module that actually holds it — the lock may have been reconfigured
-  /// (and a different module made current) while the thread waited.
-  /// nullptr while unregistered, or when parked on the lock's orphan queue.
-  Scheduler<P>* registered_with = nullptr;
+  ThreadId tid;
+  Priority priority;
+  bool shared;     ///< reader (lock_shared) vs. writer acquisition
+  bool may_sleep;  ///< waiting policy can sleep: granter must send a wakeup
+
+  /// Set under the lock's meta guard when the waiter has been dequeued and
+  /// granted; used to resolve the timeout-vs-grant race.
+  bool granted_flag_host = false;
+
+  Nanos enqueue_time = 0;
 
   /// Lock-free arrival chain link (kRealConcurrency platforms): holds the
   /// previous arrival-stack head as a uintptr, kArrivalLinkPending until
   /// the producer's post-exchange store lands, 0 at the end of the chain.
   std::atomic<std::uintptr_t> arrival_next{0};
-
-  /// Inline queue node for the distributed (SchedulerKind::kQueue) FIFO:
-  /// the MCS-style successor link, written once by the *next* arrival after
-  /// its tail-swap. nullptr means "no successor visible yet" — whether the
-  /// record is last is decided by comparing against the cell's tail, so no
-  /// pending sentinel is needed.
-  std::atomic<WaiterRecord*> qnext{nullptr};
 
   // Intrusive doubly-linked queue node, guarded by the lock's meta word.
   WaiterRecord* prev = nullptr;
@@ -114,15 +120,123 @@ struct WaitQueueCell {
   std::atomic<Rec*> tail{nullptr};   ///< last arrival; nullptr = empty
   std::atomic<Rec*> first{nullptr};  ///< first arrival's publication slot
   Rec* head = nullptr;               ///< consumer-owned dequeue cursor
-  /// Advisory population count (producers increment after linking, so it
-  /// briefly lags the queue itself). Exact whenever the queue is quiet.
-  std::atomic<std::size_t> count{0};
 
   /// Consumer-side emptiness. Exact for consumers: a record is reachable
   /// from head or (transitively) from the published tail, and the last
   /// consumer pop swings tail back to nullptr before clearing head.
   [[nodiscard]] bool empty() const noexcept {
     return head == nullptr && tail.load(std::memory_order_seq_cst) == nullptr;
+  }
+
+  // Consumer operations. A producer's publication (the `first` slot or a
+  // predecessor's qnext) may still be in flight when a consumer needs it;
+  // `await(point, slot)` then returns the slot's value once it is
+  // published, or nullptr to give up. `point` names the wait for the model
+  // checker. The lock awaits with paced spins; the scheduler façade's
+  // non-waiting operations give up.
+
+  /// Adopts the current generation's published first arrival into the
+  /// consumer cursor. Returns false when the cell is empty or `await` gave
+  /// up.
+  template <typename Await>
+  bool adopt_first(Await&& await) {
+    if (tail.load(std::memory_order_seq_cst) == nullptr) return false;
+    Rec* const f = await("qc.first", first);
+    if (f == nullptr) return false;
+    head = f;
+    first.store(nullptr, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Pops the queue head; nullptr when the cell is empty or `await` gave
+  /// up on a link.
+  template <typename Await>
+  [[nodiscard]] Rec* pop(Await&& await) {
+    if (head == nullptr && !adopt_first(await)) return nullptr;
+    Rec* const h = head;
+    Rec* nxt = h->qnext.load(std::memory_order_acquire);
+    if (nxt == nullptr) {
+      // No visible successor: h may be the last node. Swing the tail back
+      // to empty; losing the CAS means a producer swapped in behind h, so
+      // adopt its link once it lands.
+      Rec* expected = h;
+      if (tail.compare_exchange_strong(expected, nullptr,
+                                       std::memory_order_seq_cst)) {
+        head = nullptr;
+        return h;
+      }
+      if ((nxt = await("qc.chase", h->qnext)) == nullptr) return nullptr;
+    }
+    head = nxt;
+    h->qnext.store(nullptr, std::memory_order_relaxed);
+    return h;
+  }
+
+  /// Unlinks `rec` wherever it sits - MCS-with-timeout node self-removal.
+  /// Returns false when the record is not in the cell. `await` must wait:
+  /// once the predecessor's link is cleared the unlink cannot back out.
+  template <typename Await>
+  [[nodiscard]] bool remove(Rec& rec, Await&& await) {
+    if (head == nullptr && !adopt_first(await)) return false;
+    Rec* prev = nullptr;
+    Rec* cur = head;
+    while (cur != &rec) {
+      Rec* nxt = cur->qnext.load(std::memory_order_acquire);
+      if (nxt == nullptr) {
+        if (tail.load(std::memory_order_seq_cst) == cur) return false;
+        // A successor (possibly rec) is mid-link behind cur: wait it out.
+        nxt = await("qc.chase", cur->qnext);
+      }
+      prev = cur;
+      cur = nxt;
+    }
+    Rec* nxt = rec.qnext.load(std::memory_order_acquire);
+    if (nxt == nullptr) {
+      // No visible successor: rec may be the tail. Pre-clear the
+      // predecessor's link BEFORE swinging the tail to it - the instant
+      // the CAS lands, a new producer may store through prev->qnext, and
+      // a late clear would erase that link.
+      if (prev != nullptr) prev->qnext.store(nullptr, std::memory_order_release);
+      Rec* expected = &rec;
+      if (tail.compare_exchange_strong(expected, prev,
+                                       std::memory_order_seq_cst)) {
+        if (prev == nullptr) head = nullptr;
+        rec.qnext.store(nullptr, std::memory_order_relaxed);
+        return true;
+      }
+      // Lost to a producer that swapped in behind rec: adopt its link.
+      nxt = await("qc.chase", rec.qnext);
+    }
+    if (prev != nullptr) {
+      prev->qnext.store(nxt, std::memory_order_release);
+    } else {
+      head = nxt;
+    }
+    rec.qnext.store(nullptr, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Head re-insertion (reclaim of a fast-release pre-selection): the
+  /// record was the oldest candidate and goes back in front. `await` must
+  /// wait.
+  template <typename Await>
+  void push_front(Rec& rec, Await&& await) {
+    rec.qnext.store(nullptr, std::memory_order_relaxed);
+    if (head == nullptr) {
+      Rec* expected = nullptr;
+      if (tail.load(std::memory_order_seq_cst) == nullptr &&
+          tail.compare_exchange_strong(expected, &rec,
+                                       std::memory_order_seq_cst)) {
+        // Empty cell: rec is first and last; producers link behind it.
+        head = &rec;
+        return;
+      }
+      // A producer won the empty slot. rec still goes first: adopt the
+      // producer's publication as the queue behind rec.
+      adopt_first(await);
+    }
+    rec.qnext.store(head, std::memory_order_release);
+    head = &rec;
   }
 };
 

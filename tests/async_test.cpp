@@ -377,4 +377,67 @@ TEST(Async, ManyWaitersDrainInArrivalOrder) {
   lock.unlock(ctx);
 }
 
+// Waiter accounting through the async gate: coroutine waiters publish
+// their records through the lock's arrival path and are counted out by the
+// granter, while sync threads contend with timed lock_for. A sampler must
+// never read more waiters than there are threads plus outstanding frames,
+// and the count must read 0 once everything drains.
+TEST(Async, WaiterCountStaysBoundedUnderAStorm) {
+  constexpr unsigned kSync = 2;
+  constexpr int kBatch = 16;
+  native::Domain domain(64);
+  native::Context ctx(domain);
+  Lock lock(domain, fcfs_opts());
+  ThreadPoolExecutor<NP> exec(domain, /*threads=*/2);
+  AsyncLock<NP> alk(lock, exec);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint32_t> worst{0};
+  std::vector<std::thread> threads;
+  for (unsigned i = 0; i < kSync; ++i) {
+    threads.emplace_back([&] {
+      native::Context c(domain);
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (lock.lock_for(c, 50'000)) lock.unlock(c);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint32_t n = lock.waiter_count();
+      if (n > worst.load(std::memory_order_relaxed)) {
+        worst.store(n, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  std::atomic<int> granted{0};
+  auto waiter = [&]() -> Task {
+    AsyncGrant<NP> g = co_await alk.lock_async(ctx);
+    EXPECT_TRUE(g.acquired());
+    granted.fetch_add(1, std::memory_order_relaxed);
+    g.unlock();
+  };
+  int launched = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    std::vector<Task> tasks;
+    tasks.reserve(kBatch);
+    for (int i = 0; i < kBatch; ++i) tasks.push_back(waiter());
+    launched += kBatch;
+    for (auto& t : tasks) {
+      while (!t.done()) std::this_thread::yield();
+      t.rethrow();
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(granted.load(), launched);
+  EXPECT_LE(worst.load(), kSync + kBatch)
+      << "waiter_count() exceeded the live threads and frames";
+  EXPECT_EQ(lock.waiter_count(), 0u);
+}
+
 }  // namespace

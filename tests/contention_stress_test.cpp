@@ -4,7 +4,8 @@
 // lock-free arrival stack (push vs. drain vs. lost-release recheck), the
 // orphan queue (kNone reconfiguration races), per-thread attribute
 // overrides, and conditional acquisition timeouts - the oracle throughout
-// is mutual exclusion plus ops conservation.
+// is mutual exclusion plus ops conservation - and waiter accounting on
+// every arrival path.
 //
 // Durations are wall-clock-bounded (RELOCK_STRESS_MS, default 1000 per
 // scenario) so the suite stays inside the ctest timeout on one core and
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -211,6 +213,83 @@ TEST(ContentionStress, TimeoutsRaceGrants) {
   EXPECT_EQ(counted, oracle.ops.load());
   EXPECT_EQ(lock.waiter_count(), 0u);
 }
+
+// Waiter accounting: waiter_count() is arrivals minus departures, two
+// monotone counters bumped on different cores. Over a storm on one arrival
+// path - the queue cell (kFcfs, kQueue), the arrival stack
+// (kPriorityQueue), the meta-guarded reader-writer registration, the
+// barging claim (kNone) - with every fourth acquisition a short lock_for
+// (the timeout withdrawal path), a sampler must never read more waiters
+// than there are threads (a wrapped or drifting counter would), and the
+// count must read 0 once the storm drains.
+class WaiterAccounting : public ::testing::TestWithParam<SchedulerKind> {};
+
+TEST_P(WaiterAccounting, BoundedByThreadsAndZeroAtQuiescence) {
+  native::Domain dom(64);
+  Lock lock(dom, {.scheduler = GetParam()});
+  const bool rw = GetParam() == SchedulerKind::kReaderWriter;
+  Oracle oracle;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint32_t> worst{0};
+  std::atomic<std::uint64_t> samples{0};
+  constexpr unsigned kWorkers = 4;
+
+  std::vector<std::thread> threads;
+  threads.reserve(kWorkers + 1);
+  for (unsigned t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&, t] {
+      native::Context ctx(dom);
+      for (std::uint64_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const bool timed = i % 4 == 3;
+        if (rw && i % 2 == 0) {
+          if (timed ? lock.lock_shared_for(ctx, 20'000)
+                    : lock.lock_shared(ctx)) {
+            lock.unlock_shared(ctx);
+          }
+          continue;
+        }
+        if (timed ? lock.lock_for(ctx, 20'000) : lock.lock(ctx)) {
+          oracle.enter_cs();
+          lock.unlock(ctx);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint32_t n = lock.waiter_count();
+      if (n > worst.load(std::memory_order_relaxed)) {
+        worst.store(n, std::memory_order_relaxed);
+      }
+      samples.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(stress_window_ns() / 2));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(oracle.violations.load(), 0u);
+  EXPECT_GT(oracle.ops.load(), 0u);
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_LE(worst.load(), kWorkers) << "waiter_count() exceeded the threads";
+  EXPECT_EQ(lock.waiter_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArrivalPaths, WaiterAccounting,
+    ::testing::Values(SchedulerKind::kFcfs, SchedulerKind::kQueue,
+                      SchedulerKind::kPriorityQueue,
+                      SchedulerKind::kReaderWriter, SchedulerKind::kNone),
+    [](const ::testing::TestParamInfo<SchedulerKind>& param) {
+      switch (param.param) {
+        case SchedulerKind::kFcfs: return std::string("Fcfs");
+        case SchedulerKind::kQueue: return std::string("Queue");
+        case SchedulerKind::kPriorityQueue: return std::string("Stack");
+        case SchedulerKind::kReaderWriter: return std::string("GuardedRw");
+        default: return std::string("Barging");
+      }
+    });
 
 }  // namespace
 }  // namespace relock

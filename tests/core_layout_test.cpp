@@ -4,8 +4,11 @@
 // between their cores on each handoff. The rule pinned here: no word that
 // arrivals write (the state word's contended mark, the queue cell's tail
 // swap, the arrival stack's exchange, the waiter count) shares a 64-byte
-// line with the state-word owner's release state. Addresses are compared
-// at runtime through a friend probe; offsetof is unusable on this class.
+// line with the state-word owner's release state. The waiter record gets
+// the same treatment from the other side: every field a releaser touches
+// when it grants a record sits on one line, apart from the grant flag the
+// waiter spins on. Addresses are compared at runtime (through a friend
+// probe for the lock); offsetof is unusable on these classes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,7 +49,7 @@ struct LockLayoutProbe {
   static std::vector<Span> arrival_written(const Lock& lk) {
     return {span("state_", lk.state_), span("queue_cell_", lk.queue_cell_),
             span("arrivals_", lk.arrivals_),
-            span("waiter_count_", lk.waiter_count_)};
+            span("waiters_arrived_", lk.waiters_arrived_)};
   }
 
   /// The release state written by the state-word owner (and by meta
@@ -63,7 +66,18 @@ struct LockLayoutProbe {
             span("full_mode_hold_", lk.full_mode_hold_),
             span("acquire_time_", lk.acquire_time_),
             span("orphans_", lk.orphans_),
-            span("grant_scratch_", lk.grant_scratch_)};
+            span("grant_scratch_", lk.grant_scratch_),
+            span("waiters_departed_", lk.waiters_departed_)};
+  }
+
+  /// The waiter counts ride lines their writers already own: the arrival
+  /// count the cell's tail line, the departure count the fast release's
+  /// in-flight-count line.
+  static bool counts_on_owned_lines(const Lock& lk) {
+    return span("tail", lk.queue_cell_.tail).first_line() ==
+               span("arrived", lk.waiters_arrived_).last_line() &&
+           span("inflight", lk.fast_releases_inflight_).first_line() ==
+               span("departed", lk.waiters_departed_).last_line();
   }
 
   static std::uintptr_t base(const Lock& lk) {
@@ -102,6 +116,41 @@ TEST(LockLayout, ArrivalWordsAvoidOwnerReleaseLines) {
                 kCacheLineSize,
             0u);
   for (const std::string& c : shared_lines(*lk)) ADD_FAILURE() << c;
+  using Probe = LockLayoutProbe<native::NativePlatform>;
+  EXPECT_TRUE(Probe::counts_on_owned_lines(*lk))
+      << "a waiter count left the line its writer already owns";
+}
+
+TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
+  using P = native::NativePlatform;
+  using Probe = LockLayoutProbe<P>;
+  native::Domain domain(4);
+  auto rec = std::make_unique<WaiterRecord<P>>(domain, 1, kDefaultPriority,
+                                               Placement::any(), false, true);
+  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(rec.get()) % kCacheLineSize, 0u);
+  // Read or written by a releaser selecting and granting the record: the
+  // cell pop (qnext), the module unregistration, the grant-hook capture,
+  // the guarded grant's host flag and hook chain, and the priority scan.
+  const std::vector<Probe::Span> handoff = {
+      Probe::span("qnext", rec->qnext),
+      Probe::span("registered_with", rec->registered_with),
+      Probe::span("grant_hook", rec->grant_hook),
+      Probe::span("grant_hook_arg", rec->grant_hook_arg),
+      Probe::span("hook_next", rec->hook_next),
+      Probe::span("tid", rec->tid),
+      Probe::span("priority", rec->priority),
+      Probe::span("shared", rec->shared),
+      Probe::span("may_sleep", rec->may_sleep),
+      Probe::span("granted_flag_host", rec->granted_flag_host)};
+  const Probe::Span granted = Probe::span("granted", rec->granted);
+  const std::uintptr_t line = handoff.front().first_line();
+  for (const Probe::Span& f : handoff) {
+    EXPECT_EQ(f.first_line(), line) << f.name << " leaves the handoff line";
+    EXPECT_EQ(f.last_line(), line) << f.name << " leaves the handoff line";
+    EXPECT_FALSE(granted.first_line() <= f.last_line() &&
+                 f.first_line() <= granted.last_line())
+        << f.name << " shares a line with the grant flag";
+  }
 }
 
 }  // namespace

@@ -137,6 +137,85 @@ TEST_F(QueueFacadeUnit, EnqueueFrontRestoresHeadPosition) {
 
 // ------------------------------------------------ native lock behavior ---
 
+// size() walks the consumer side (adopted head, else the published first
+// arrival, along qnext): it must be exact after every interleaving of
+// producer enqueues with pops, removals and head re-insertions, including
+// across an empty -> non-empty generation change.
+TEST_F(QueueFacadeUnit, SizeWalksInterleavedEnqueuePopRemove) {
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  SimRec& d = make(4);
+  sched_.enqueue(a);
+  EXPECT_EQ(sched_.size(), 1u);  // first slot published, head not adopted
+  sched_.enqueue(b);
+  sched_.enqueue(c);
+  EXPECT_EQ(sched_.size(), 3u);
+  SimRec* head = sched_.pop_any();
+  ASSERT_EQ(head, &a);
+  EXPECT_EQ(sched_.size(), 2u);
+  sched_.enqueue(d);
+  EXPECT_EQ(sched_.size(), 3u);
+  sched_.remove(c);  // middle
+  EXPECT_EQ(sched_.size(), 2u);
+  sched_.enqueue_front(*head);
+  EXPECT_EQ(sched_.size(), 3u);
+  sched_.remove(d);  // tail
+  EXPECT_EQ(sched_.size(), 2u);
+  EXPECT_EQ(sched_.pop_any(), &a);
+  EXPECT_EQ(sched_.pop_any(), &b);
+  EXPECT_EQ(sched_.size(), 0u);
+  EXPECT_TRUE(sched_.empty());
+  // A new generation starts in the first slot again.
+  sched_.enqueue(c);
+  sched_.enqueue(a);
+  EXPECT_EQ(sched_.size(), 2u);
+  sched_.remove(c);  // head of the new generation
+  EXPECT_EQ(sched_.size(), 1u);
+  EXPECT_EQ(sched_.pop_any(), &a);
+  EXPECT_EQ(sched_.size(), 0u);
+}
+
+// The lock builds its cell-served module as a façade over a cell it owns
+// and consumes that cell itself through WaitQueueCell's operations with a
+// waiting await. Same arrangement here on native records: size() must
+// track both consumers' mutations of the shared cell.
+TEST(QueueFacadeOnCell, SizeTracksTheCellsOwnConsumer) {
+  using Rec = WaiterRecord<NativePlatform>;
+  native::Domain dom(8);
+  WaitQueueCell<NativePlatform> cell;
+  DistributedQueueScheduler<NativePlatform> facade(&cell, SchedulerKind::kFcfs);
+  EXPECT_EQ(facade.kind(), SchedulerKind::kFcfs);
+  std::deque<Rec> recs;
+  for (ThreadId t = 0; t < 4; ++t) {
+    recs.emplace_back(dom, t, kDefaultPriority, Placement::any(),
+                      /*shared=*/false, /*may_sleep=*/false);
+  }
+  const auto wait = [](const char*, std::atomic<Rec*>& slot) {
+    Rec* r;
+    while ((r = slot.load(std::memory_order_acquire)) == nullptr) {
+    }
+    return r;
+  };
+  for (Rec& r : recs) facade.enqueue(r);
+  EXPECT_EQ(facade.size(), 4u);
+  Rec* head = cell.pop(wait);
+  ASSERT_EQ(head, &recs[0]);
+  EXPECT_EQ(facade.size(), 3u);
+  ASSERT_TRUE(cell.remove(recs[2], wait));
+  EXPECT_EQ(facade.size(), 2u);
+  EXPECT_FALSE(cell.remove(recs[2], wait)) << "removed twice";
+  cell.push_front(*head, wait);
+  EXPECT_EQ(facade.size(), 3u);
+  EXPECT_EQ(facade.pop_any(), &recs[0]);
+  EXPECT_EQ(cell.pop(wait), &recs[1]);
+  EXPECT_EQ(facade.size(), 1u);
+  EXPECT_EQ(facade.pop_any(), &recs[3]);
+  EXPECT_EQ(facade.size(), 0u);
+  EXPECT_TRUE(cell.empty());
+  EXPECT_EQ(cell.pop(wait), nullptr);
+}
+
 TEST(QueueScheduler, UncontendedCyclesStayInFastMode) {
   // kQueue is fissile-eligible: uncontended cycles never touch the cell.
   native::Domain dom;
