@@ -52,9 +52,8 @@ struct AsyncGate {
   }
 
   /// Arms the conditional-waiter breaker for a timed async wait: a record
-  /// that may be withdrawn off-queue must never be fast-granted or
-  /// pre-selected behind the meta guard's back (same contract as the sync
-  /// paths' BreakerToken). Armed BEFORE the record becomes reachable; the
+  /// that may be withdrawn off-queue must never be fast-granted behind the
+  /// meta guard's back (same contract as the sync paths' BreakerToken). Armed BEFORE the record becomes reachable; the
   /// timeout resolution waits out releases already in flight.
   static void arm_breaker(Ctx& ctx, Lock& lk) {
     chk_point<P>(ctx, "bt.arm");

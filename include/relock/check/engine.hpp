@@ -5,11 +5,11 @@
 // test thread) resumes exactly one coroutine at a time, so a schedule is a
 // totally ordered sequence of *steps*. A step runs a thread from one
 // scheduling point to the next: platform Word operations, chk_point hooks
-// (host-side atomics: epoch counters, next_grant_, grant scratch, arrival
-// links, attribute seqlocks), parker transitions, pauses/yields/delays, and
-// block/block_for. The strategy (DFS with a preemption bound, PCT-style
-// randomized priorities, or trace replay) chooses which enabled action runs
-// at each point; oracles validate every schedule.
+// (host-side atomics: epoch counters, queue-cell links, grant scratch,
+// arrival links, attribute seqlocks), parker transitions, pauses/yields/
+// delays, and block/block_for. The strategy (DFS with a preemption bound,
+// PCT-style randomized priorities, or trace replay) chooses which enabled
+// action runs at each point; oracles validate every schedule.
 //
 // Determinism: the engine uses a logical clock (each point advances it 1 ns,
 // P::delay advances it by its argument, a timeout firing advances it to the

@@ -52,10 +52,12 @@
 // in-flight count) before mutating anything under meta; a releaser that
 // observes a breaker falls back to the guarded slow path - exactly the
 // paper's configuration-delay semantics. While quiescent, the releaser
-// consults a pre-computed successor cached in `next_grant_` (selected at
-// the previous release; re-validated against the scheduler's version
-// counter for priority-sensitive kinds) and publishes ownership with a
-// single store to the successor's waiter-local grant flag. See
+// selects afresh - a cell pop for the cell-served kinds, else a module
+// select - and publishes ownership with a single store to the successor's
+// waiter-local grant flag. The cell's pop stages the next record one pop
+// ahead, off the producers' chain, so arrivals never link behind the
+// record the next release grants; the staged record stays in the cell, so
+// nothing is cached outside a queue and nothing can go stale. See
 // DESIGN.md "The configuration-quiescence epoch".
 //
 // The fissile fast path (kRealConcurrency): on top of all of the above the
@@ -307,8 +309,8 @@ class ConfigurableLock {
         // of held->free is the whole release. The CAS (not a plain store)
         // is what makes this sound: a waiter's mark landing first makes it
         // fail, and we fall through to the full paths below. A
-        // fast-eligible lock is passive by definition, so the serving_
-        // probe below is skipped knowingly. A hold that began with a grant
+        // fast-eligible lock is passive by definition, so no active
+        // manager is bypassed here. A hold that began with a grant
         // skips the CAS: the contended bit was set when it was granted and
         // only this owner's own guarded free-publish clears it, so the CAS
         // would fail - a wasted RMW on the line arrivals are marking. (A
@@ -320,19 +322,10 @@ class ConfigurableLock {
           return;
         }
       }
-      if (opts_.execution == Execution::kActive && serving_.load()) {
-        post_release(ctx, hint, /*shared=*/false);
-        return;
-      }
-      if (release_fast(ctx, hint)) return;
     } else {
       monitor_.on_release(P::now(ctx) - acquire_time_);
-      if (opts_.execution == Execution::kActive && serving_.load()) {
-        post_release(ctx, hint, /*shared=*/false);
-        return;
-      }
     }
-    release(ctx, hint, /*shared=*/false);
+    run_release_module(ctx, hint, /*shared=*/false);
   }
 
   void unlock_shared(Ctx& ctx) {
@@ -340,11 +333,7 @@ class ConfigurableLock {
       misuse("unlock_shared on a lock without a reader-writer scheduler");
     }
     note_trace(ctx, LockEvent::kRelease, ctx.self());
-    if (opts_.execution == Execution::kActive && serving_.load()) {
-      post_release(ctx, kInvalidThread, /*shared=*/true);
-      return;
-    }
-    release(ctx, kInvalidThread, /*shared=*/true);
+    run_release_module(ctx, kInvalidThread, /*shared=*/true);
   }
 
   // =================================================================
@@ -467,9 +456,6 @@ class ConfigurableLock {
     QuiesceGuard quiesce(ctx, *this);
     meta_lock(ctx);
     note(ctx, LockEvent::kConfigMutateBegin);
-    // A fast release may have pre-dequeued the next grantee; return it so
-    // the threshold applies to it too and the empty() probe below is real.
-    reclaim_next_grant(ctx);
     if (scheduler_ != nullptr) scheduler_->set_threshold(threshold);
     if (pending_scheduler_ != nullptr) {
       pending_scheduler_->set_threshold(threshold);
@@ -1111,12 +1097,12 @@ class ConfigurableLock {
                         policy_may_sleep(attrs, opts_.advisory) ||
                             P::oversubscribed(ctx));
     rec.enqueue_time = t0;
-    // A record that may be withdrawn off-queue must never be granted (or
-    // pre-selected) by a fast release racing the withdrawal: conditional
-    // waiters break the quiescence epoch for their entire wait. Armed
-    // BEFORE the record becomes reachable, so any fast release that could
-    // select this record either sees the breaker and stands down, or is
-    // already in flight and is waited out by the timeout resolution.
+    // A record that may be withdrawn off-queue must never be granted by a
+    // fast release racing the withdrawal: conditional waiters break the
+    // quiescence epoch for their entire wait. Armed BEFORE the record
+    // becomes reachable, so any fast release that could select this record
+    // either sees the breaker and stands down, or is already in flight and
+    // is waited out by the timeout resolution.
     BreakerToken breaker;
     if (deadline != kForever) breaker.arm(ctx, *this);
     publish_arrival<A>(ctx, rec);
@@ -1195,11 +1181,12 @@ class ConfigurableLock {
   /// self-removal). The record may still sit on the arrival stack or in
   /// the cell (its memory is the waiter's frame): wait out any fast
   /// release that began before the breaker was armed (it may have drained,
-  /// popped, granted, or cached the record), register a stacked record by
+  /// popped, staged or granted the record), register a stacked record by
   /// draining under meta, then resolve the grant race and unlink the record
-  /// from wherever it lives now - a module, the cell, or the orphan queue.
-  /// The fast path never sets the host-side flag, so the waiter-local
-  /// grant flag is re-checked too. kGranted leaves the waiter counted.
+  /// from wherever it lives now - a module, the cell (staged or linked),
+  /// or the orphan queue. The fast path never sets the host-side flag, so
+  /// the waiter-local grant flag is re-checked too. kGranted leaves the
+  /// waiter counted.
   template <Arrival A>
   WaitResult resolve_timeout_lockfree(Ctx& ctx, WaiterRecord<P>& rec) {
     meta_lock(ctx);
@@ -1209,14 +1196,7 @@ class ConfigurableLock {
       meta_unlock(ctx);
       return WaitResult::kGranted;
     }
-    chk_point<P>(ctx, "to.cache");
-    if (next_grant_.load(std::memory_order_relaxed) == &rec) {
-      // A pre-breaker fast release pre-selected us as the next grantee;
-      // the record is on no queue, just empty the cache.
-      next_grant_.store(nullptr, std::memory_order_relaxed);
-    } else {
-      withdraw(ctx, rec);
-    }
+    withdraw(ctx, rec);
     return timed_out(ctx, rec);
   }
 
@@ -1428,7 +1408,7 @@ class ConfigurableLock {
   /// Meta held, fast releases waited out. Removes a timed-out record from
   /// wherever it is registered: the scheduler module that actually enqueued
   /// it (which may no longer be the current one after a reconfiguration),
-  /// the queue cell, or the orphan queue.
+  /// the queue cell (its staged slot included), or the orphan queue.
   void withdraw(Ctx& ctx, WaiterRecord<P>& rec) {
     if (rec.registered_with != nullptr) {
       rec.registered_with->remove(rec);
@@ -1731,9 +1711,9 @@ class ConfigurableLock {
 
   /// Non-waiting breaker, armed by conditional (timeout-capable) waiters
   /// for the duration of their wait: a record that may be withdrawn
-  /// off-queue must not be fast-granted or pre-selected behind the meta
-  /// guard's back. Unlike QuiesceGuard it does not wait out in-flight
-  /// releases at arm time - the timeout resolution does, under meta.
+  /// off-queue must not be fast-granted behind the meta guard's back.
+  /// Unlike QuiesceGuard it does not wait out in-flight releases at arm
+  /// time - the timeout resolution does, under meta.
   class BreakerToken {
    public:
     BreakerToken() = default;
@@ -1767,79 +1747,6 @@ class ConfigurableLock {
     [[maybe_unused]] Ctx* ctx_ = nullptr;
   };
 
-  /// Is the cached pre-selection still the right grantee under the
-  /// module's successor-selection policy (Scheduler::successor_policy)?
-  /// kNone modules never reach here - the fast release stands down before
-  /// consulting the cache.
-  [[nodiscard]] bool next_grant_valid(const WaiterRecord<P>& cached,
-                                      SuccessorPolicy policy,
-                                      const Scheduler<P>& sched,
-                                      ThreadId hint) const noexcept {
-    switch (policy) {
-      case SuccessorPolicy::kStableHead:
-        return true;  // the FIFO head stays the head; arrivals go behind
-      case SuccessorPolicy::kHinted:
-        return hint == kInvalidThread || cached.tid == hint;
-      case SuccessorPolicy::kVersioned:
-        // Any queue mutation (a new arrival may outrank the cache, a
-        // threshold change may disqualify it) bumps the module version.
-        return sched.version() ==
-               next_grant_version_.load(std::memory_order_relaxed);
-      case SuccessorPolicy::kNone:
-        break;
-    }
-    return false;
-  }
-
-  /// Pre-selects the grantee for the NEXT release while this releaser
-  /// still owns the module - the MCS-style cache the next fast release
-  /// publishes with a single store. Version snapshot taken after the
-  /// select, so any later mutation invalidates the cache.
-  void refill_next_grant(Ctx& ctx, Scheduler<P>& sched) {
-    WaiterRecord<P>* nxt;
-    if (cell_served(sched.kind())) {
-      // Cell-served FIFO: O(1) head pop from the cell, no GrantBatch scan.
-      nxt = queue_pop(ctx);
-    } else {
-      grant_scratch_.clear();
-      sched.select(grant_scratch_, kInvalidThread);
-      nxt = grant_scratch_.empty() ? nullptr : grant_scratch_.front();
-      grant_scratch_.clear();
-    }
-    if (nxt == nullptr) {
-      next_grant_.store(nullptr, std::memory_order_relaxed);
-      return;
-    }
-    unregister(*nxt);
-    next_grant_version_.store(sched.version(), std::memory_order_relaxed);
-    next_grant_.store(nxt, std::memory_order_relaxed);
-  }
-
-  /// Returns the pre-selected successor, if any, to its queue. Caller must
-  /// own the release module with no fast release in flight (a guarded
-  /// release path, or a quiesced configuration operation holding meta).
-  void reclaim_next_grant(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      WaiterRecord<P>* cached =
-          next_grant_.exchange(nullptr, std::memory_order_relaxed);
-      if (cached == nullptr) return;
-      if (scheduler_ != nullptr) {
-        if (cell_served(scheduler_->kind())) {
-          cached->registered_with = nullptr;  // see enlist()
-          queue_cell_.push_front(*cached, cell_await(ctx));
-        } else {
-          cached->registered_with = scheduler_.get();
-          scheduler_->enqueue_front(*cached);
-        }
-      } else {
-        cached->registered_with = nullptr;
-        orphans_.push_back(*cached);
-      }
-    } else {
-      (void)ctx;
-    }
-  }
-
   /// `began`: the Dekker gate was passed (the checker's fast-release window
   /// opened), so the matching end-of-window event must be reported.
   bool release_fast_abort(Ctx& ctx, bool began) {
@@ -1867,20 +1774,17 @@ class ConfigurableLock {
     // drops; we own the modules by holding the state word.
     note(ctx, LockEvent::kFastReleaseBegin);
     chk_point<P>(ctx, "fr.mod");
-    const SchedulerKind kind = scheduler_kind_.load(std::memory_order_relaxed);
-    Scheduler<P>* const sched_ptr = scheduler_.get();
-    // kNone-policy modules abort to the guarded path: kNone kind frees the
-    // word (guarded path handles sleeper wakeup), RW grants batches, custom
-    // modules make no validity promises for the pre-selection cache.
-    const SuccessorPolicy policy = sched_ptr == nullptr
-                                       ? SuccessorPolicy::kNone
-                                       : sched_ptr->successor_policy();
-    if (policy == SuccessorPolicy::kNone ||
-        has_pending_.load(std::memory_order_relaxed) || !orphans_.empty()) {
+    Scheduler<P>* const sched = scheduler_.get();
+    // The guarded path's cases: no module (kNone frees the word and wakes
+    // sleepers), a configuration delay to complete, or orphans to serve
+    // before any module's choice.
+    if (sched == nullptr || has_pending_.load(std::memory_order_relaxed) ||
+        !orphans_.empty()) {
       return release_fast_abort(ctx, /*began=*/true);
     }
-    const bool queued_kind = cell_served(kind);
-    if (queued_kind) {
+    const bool cell_kind =
+        cell_served(scheduler_kind_.load(std::memory_order_relaxed));
+    if (cell_kind) {
       // Cell-served FIFO: the cell is the registration structure, and the
       // arrival stack is only a reconfiguration straggler channel. A
       // nonzero stack means a record was pushed against a prior
@@ -1891,46 +1795,23 @@ class ConfigurableLock {
     } else {
       drain_arrivals(ctx);
     }
-    Scheduler<P>& sched = *sched_ptr;
-    chk_point<P>(ctx, "fr.cache");
-    WaiterRecord<P>* succ = next_grant_.load(std::memory_order_relaxed);
-    if (succ != nullptr && !next_grant_valid(*succ, policy, sched, hint)) {
-      // Stale pre-selection (priority landscape or hint changed): put it
-      // back at the head of its queue - it was the oldest candidate - and
-      // select afresh. (Unreachable for kStableHead policies.)
-      next_grant_.store(nullptr, std::memory_order_relaxed);
-      succ->registered_with = &sched;
-      sched.enqueue_front(*succ);
-      succ = nullptr;
+    chk_point<P>(ctx, "fr.select");
+    WaiterRecord<P>* succ;
+    if (cell_kind) {
+      // O(1): the record the previous pop staged; the pop stages the next.
+      succ = queue_pop(ctx);
+    } else {
+      grant_scratch_.clear();
+      sched->select(grant_scratch_, hint);
+      succ = grant_scratch_.empty() ? nullptr : grant_scratch_.front();
+      grant_scratch_.clear();
     }
     if (succ == nullptr) {
-      chk_point<P>(ctx, "fr.select");
-      if (queued_kind) {
-        succ = queue_pop(ctx);
-        if (succ == nullptr) {
-          // Queue gone empty: publishing the word free is the guarded
-          // path's job.
-          return release_fast_abort(ctx, /*began=*/true);
-        }
-      } else {
-        grant_scratch_.clear();
-        sched.select(grant_scratch_, hint);
-        if (grant_scratch_.empty()) {
-          // Nobody eligible: publishing the word free (and waking barging
-          // sleepers) is the guarded path's job.
-          grant_scratch_.clear();
-          return release_fast_abort(ctx, /*began=*/true);
-        }
-        succ = grant_scratch_.front();
-        grant_scratch_.clear();
-      }
-      unregister(*succ);
-    } else {
-      next_grant_.store(nullptr, std::memory_order_relaxed);
+      // Nobody eligible: publishing the word free (and waking barging
+      // sleepers) is the guarded path's job.
+      return release_fast_abort(ctx, /*began=*/true);
     }
-    // Pre-select the next grantee while we still own the module.
-    chk_point<P>(ctx, "fr.refill");
-    refill_next_grant(ctx, sched);
+    unregister(*succ);
     // Every module mutation is complete. Publish ownership: mirrors first,
     // the grant-flag store last - the one store the new owner's critical
     // section is ordered after. The epilogue below the store touches only
@@ -1973,6 +1854,22 @@ class ConfigurableLock {
   }
 
   // -------------------------------------------------------- release ------
+
+  /// The one entry both unlocks reach once the releaser's own bookkeeping
+  /// is done: an active lock's serving manager runs the release module on
+  /// the releaser's behalf; otherwise the single-store fast release is
+  /// tried on real platforms (it declines shared releases: RW locks never
+  /// take it), and the guarded release does the rest.
+  void run_release_module(Ctx& ctx, ThreadId hint, bool shared) {
+    if (opts_.execution == Execution::kActive && serving_.load()) {
+      post_release(ctx, hint, shared);
+      return;
+    }
+    if constexpr (kRealConcurrency<P>) {
+      if (release_fast(ctx, hint)) return;
+    }
+    release(ctx, hint, shared);
+  }
 
   void release(Ctx& ctx, ThreadId hint, bool shared) {
     meta_lock(ctx);
@@ -2033,10 +1930,6 @@ class ConfigurableLock {
       }
     };
 
-    // The guarded path must see every waiter: fold a fast-release
-    // pre-selection back into its queue before selecting.
-    chk_point<P>(ctx, "gf.reclaim");
-    reclaim_next_grant(ctx);
     for (;;) {
       if constexpr (kRealConcurrency<P>) {
         drain_arrivals(ctx);
@@ -2197,9 +2090,8 @@ class ConfigurableLock {
       misuse("RW capability is fixed at construction; cannot switch a lock "
              "between reader-writer and exclusive scheduler kinds");
     }
-    // Scheduler swaps retire the outgoing module: quiesce the fast path
-    // and reclaim its pre-selection (below, under meta) or the cached
-    // record would dangle on a destroyed queue.
+    // Scheduler swaps retire the outgoing module: quiesce the fast path so
+    // no release is inside the module while it is swapped.
     QuiesceGuard quiesce(ctx, *this);
     note(ctx, LockEvent::kConfigMutateBegin);
     monitor_.on_reconfiguration(/*scheduler_change=*/true);
@@ -2210,7 +2102,6 @@ class ConfigurableLock {
     P::store(ctx, sched_rel_, code);                    // W3: release
     P::store(ctx, sched_flag_, 1);                      // W4: delay flag on
     meta_lock(ctx);
-    reclaim_next_grant(ctx);
     if constexpr (kRealConcurrency<P>) {
       // In-flight lock-free arrivals registered before this configuration:
       // drain them now so they land in the outgoing module and are served
@@ -2596,11 +2487,6 @@ class ConfigurableLock {
   // Configuration-quiescence epoch (kRealConcurrency fast release).
   std::atomic<std::uint32_t> quiesce_breakers_{0};
   std::atomic<std::uint32_t> fast_releases_inflight_{0};
-  /// Pre-selected grantee for the next release (owned by the module owner;
-  /// off every queue, registered_with == nullptr while cached).
-  std::atomic<WaiterRecord<P>*> next_grant_{nullptr};
-  /// Scheduler version at pre-selection time (priority-kind validation).
-  std::atomic<std::uint64_t> next_grant_version_{0};
   /// Departure half of waiter_count(): records granted or withdrawn. On
   /// the first owner line, which a cell-served fast release touches anyway.
   std::atomic<std::uint32_t> waiters_departed_{0};

@@ -26,10 +26,6 @@ class EdfScheduler final : public QueuedScheduler<P> {
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* best = earliest_deadline()) this->take(*best, out);
   }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return earliest_deadline();
-  }
 
  private:
   [[nodiscard]] WaiterRecord<P>* earliest_deadline() const noexcept {

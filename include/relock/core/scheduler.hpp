@@ -3,14 +3,25 @@
 // waiters (registration), decides their eligibility (acquisition), and
 // selects who is granted the lock on release (release).
 //
-// All methods are called under the owning lock's meta guard; schedulers are
-// therefore plain single-threaded data structures.
+// Module methods run only while the caller owns the lock's release module,
+// so at most one thread at a time is inside a module and schedulers are
+// plain single-threaded data structures. NOT every call holds the meta
+// guard. The owners are:
+//   - meta guard holders: registration on the simulator and for
+//     reader-writer locks, configuration, and timeout withdrawal;
+//   - the state-word owner's release. The guarded release holds meta too;
+//     on kRealConcurrency platforms the fast release drains arrivals into
+//     the module and selects WITHOUT it, inside a quiesced epoch.
+// Two releases never overlap (only the state-word owner runs one), and
+// every configuration or withdrawal first breaks the epoch and waits any
+// in-flight fast release out. The one exception is the
+// DistributedQueueScheduler façade below, whose cell also takes lock-free
+// enqueues.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -95,29 +106,6 @@ class GrantBatch {
   std::size_t size_ = 0;
 };
 
-/// How a module's pre-selected successor — the lock's single-store
-/// fast-release cache — can go stale. The lock's release path keys every
-/// cache decision off this trait instead of enumerating scheduler kinds,
-/// so centralized and distributed modules share one release path.
-enum class SuccessorPolicy : std::uint8_t {
-  /// No single-successor pre-selection: grants are batches (reader-writer)
-  /// or the module makes no validity promises (custom). The single-store
-  /// fast release is disabled.
-  kNone,
-  /// The head of line cannot be displaced by later mutations: arrivals go
-  /// behind it and a withdrawal of the cached record itself is resolved by
-  /// the timeout path clearing the cache. The cache is always valid
-  /// (FCFS, distributed queue).
-  kStableHead,
-  /// Any structural mutation may displace the cached successor (a new
-  /// arrival may outrank it, a threshold change may disqualify it):
-  /// revalidate against the module's version counter.
-  kVersioned,
-  /// Valid for hintless releases, or when the cache already matches the
-  /// hint; a differently-hinted release must consult the module (handoff).
-  kHinted,
-};
-
 template <Platform P>
 class Scheduler {
  public:
@@ -125,38 +113,17 @@ class Scheduler {
 
   [[nodiscard]] virtual SchedulerKind kind() const noexcept = 0;
 
-  /// Staleness contract for the lock's grant pre-selection cache. kNone
-  /// (the default) opts the module out of the single-store fast release.
-  [[nodiscard]] virtual SuccessorPolicy successor_policy() const noexcept {
-    return SuccessorPolicy::kNone;
-  }
-
   /// Registration: logs a waiter that must wait.
   virtual void enqueue(WaiterRecord<P>& w) = 0;
-
-  /// Re-registers a waiter at the *head* of the grant order. Used by the
-  /// lock to return a pre-dequeued successor (the fast-release cache) to
-  /// the module without losing its position: the cached record was the
-  /// oldest selection candidate at the time it was cached. Modules without
-  /// a positional queue may fall back to a plain enqueue.
-  virtual void enqueue_front(WaiterRecord<P>& w) { enqueue(w); }
 
   /// Withdraws a waiter (timeout / abandoned conditional acquisition).
   virtual void remove(WaiterRecord<P>& w) = 0;
 
   /// Release: selects (and unlinks) the next grant recipients. `hint` is
   /// the handoff target (kInvalidThread = none). May select nobody even
-  /// when waiters exist (e.g. all below a priority threshold).
+  /// when waiters exist (e.g. all below a priority threshold). The lock
+  /// calls it afresh at every release, so a selection never goes stale.
   virtual void select(GrantBatch<P>& out, ThreadId hint) = 0;
-
-  /// Non-mutating preview of select(): the record a subsequent select with
-  /// the same hint would grant first, or nullptr when it would grant
-  /// nobody. Modules that cannot preview may return nullptr; the lock then
-  /// simply skips successor pre-computation for them.
-  [[nodiscard]] virtual const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept {
-    return nullptr;
-  }
 
   [[nodiscard]] virtual bool empty() const noexcept = 0;
   [[nodiscard]] virtual std::size_t size() const noexcept = 0;
@@ -167,17 +134,6 @@ class Scheduler {
   /// reconfiguration); records left on the replaced module would dangle.
   [[nodiscard]] virtual WaiterRecord<P>* pop_any() noexcept = 0;
 
-  /// Structural version: incremented on every mutation that can change the
-  /// outcome of a future select() — enqueues, removals, selections, and
-  /// parameter changes. The lock's fast-release path snapshots it when it
-  /// pre-computes a successor and re-validates before publishing ownership
-  /// (stale cache => fall back to the guarded release module). Relaxed
-  /// atomic: cross-thread ordering is provided by the lock's quiescence
-  /// protocol, not by this counter.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_relaxed);
-  }
-
   // Priority-threshold parameters (no-ops for other kinds).
   virtual void set_threshold(Priority) {}
   [[nodiscard]] virtual Priority threshold() const noexcept {
@@ -186,45 +142,23 @@ class Scheduler {
 
   // Reader-writer parameters (no-ops for other kinds).
   virtual void set_rw_preference(RwPreference) {}
-
- protected:
-  void bump_version() noexcept {
-    version_.fetch_add(1, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> version_{0};
 };
 
 /// Common base of the queue-backed scheduler modules: owns the intrusive
-/// waiter queue and implements the registration-side operations (with
-/// version bumps) once. Concrete modules supply kind(), select() and
-/// peek_next().
+/// waiter queue and implements the registration-side operations once.
+/// Concrete modules supply kind() and select().
 template <Platform P>
 class QueuedScheduler : public Scheduler<P> {
  public:
-  void enqueue(WaiterRecord<P>& w) override {
-    queue_.push_back(w);
-    this->bump_version();
-  }
-  void enqueue_front(WaiterRecord<P>& w) override {
-    queue_.push_front(w);
-    this->bump_version();
-  }
-  void remove(WaiterRecord<P>& w) override {
-    queue_.remove(w);
-    this->bump_version();
-  }
+  void enqueue(WaiterRecord<P>& w) override { queue_.push_back(w); }
+  void remove(WaiterRecord<P>& w) override { queue_.remove(w); }
   [[nodiscard]] bool empty() const noexcept override { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept override {
     return queue_.size();
   }
   [[nodiscard]] WaiterRecord<P>* pop_any() noexcept override {
     WaiterRecord<P>* w = queue_.front();
-    if (w != nullptr) {
-      queue_.remove(*w);
-      this->bump_version();
-    }
+    if (w != nullptr) queue_.remove(*w);
     return w;
   }
 
@@ -233,7 +167,6 @@ class QueuedScheduler : public Scheduler<P> {
   void take(WaiterRecord<P>& w, GrantBatch<P>& out) {
     queue_.remove(w);
     out.push_back(&w);
-    this->bump_version();
   }
 
   WaiterQueue<P> queue_;
@@ -247,15 +180,8 @@ class FcfsScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SchedulerKind kind() const noexcept override {
     return SchedulerKind::kFcfs;
   }
-  [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
-    return SuccessorPolicy::kStableHead;  // the FIFO head stays the head
-  }
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* w = this->queue_.front()) this->take(*w, out);
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return this->queue_.front();
   }
 };
 
@@ -269,15 +195,8 @@ class PriorityQueueScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SchedulerKind kind() const noexcept override {
     return SchedulerKind::kPriorityQueue;
   }
-  [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
-    return SuccessorPolicy::kVersioned;  // a new arrival may outrank the cache
-  }
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* best = best_waiter()) this->take(*best, out);
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return best_waiter();
   }
 
  private:
@@ -302,22 +221,12 @@ class PriorityThresholdScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SchedulerKind kind() const noexcept override {
     return SchedulerKind::kPriorityThreshold;
   }
-  [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
-    return SuccessorPolicy::kVersioned;  // a threshold change may disqualify
-  }
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (WaiterRecord<P>* chosen = first_eligible()) this->take(*chosen, out);
     // No eligible waiter: grant nobody; the lock is released as free and
     // ineligible waiters keep waiting for the threshold to drop.
   }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    return first_eligible();
-  }
-  void set_threshold(Priority p) override {
-    threshold_ = p;
-    this->bump_version();
-  }
+  void set_threshold(Priority p) override { threshold_ = p; }
   [[nodiscard]] Priority threshold() const noexcept override {
     return threshold_;
   }
@@ -348,15 +257,8 @@ class HandoffScheduler final : public QueuedScheduler<P> {
   [[nodiscard]] SchedulerKind kind() const noexcept override {
     return SchedulerKind::kHandoff;
   }
-  [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
-    return SuccessorPolicy::kHinted;
-  }
   void select(GrantBatch<P>& out, ThreadId hint) override {
     if (WaiterRecord<P>* chosen = choose(hint)) this->take(*chosen, out);
-  }
-  [[nodiscard]] const WaiterRecord<P>* peek_next(
-      ThreadId hint) const noexcept override {
-    return choose(hint);
   }
 
  private:
@@ -442,13 +344,7 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
     }
   }
 
-  // No peek_next: RW grants are batches, not single successors; the fast
-  // single-store release path does not apply (base returns nullptr).
-
-  void set_rw_preference(RwPreference p) override {
-    pref_ = p;
-    this->bump_version();
-  }
+  void set_rw_preference(RwPreference p) override { pref_ = p; }
 
  private:
   RwPreference pref_;
@@ -490,9 +386,6 @@ class DistributedQueueScheduler final : public Scheduler<P> {
       : cell_(cell), kind_(kind) {}
 
   [[nodiscard]] SchedulerKind kind() const noexcept override { return kind_; }
-  [[nodiscard]] SuccessorPolicy successor_policy() const noexcept override {
-    return SuccessorPolicy::kStableHead;  // FIFO: the queue head stays put
-  }
 
   /// Producer protocol: tail-swap, then publish the link (predecessor's
   /// qnext, or the cell's first-arrival slot when the queue was empty).
@@ -505,44 +398,31 @@ class DistributedQueueScheduler final : public Scheduler<P> {
     } else {
       cell_->first.store(&w, std::memory_order_release);
     }
-    this->bump_version();
-  }
-
-  /// Consumer-side head insertion (fast-release cache reclaim). Requires
-  /// the consumer role; races only the producer protocol.
-  void enqueue_front(Rec& w) override {
-    cell_->push_front(w, spin);
-    this->bump_version();
   }
 
   /// Consumer-side withdrawal. Exact on meta-serialized platforms; on
   /// kRealConcurrency platforms the lock routes withdrawals through its
   /// own paced remover instead (an in-flight producer link can force a
   /// wait that only the lock can pace).
-  void remove(Rec& w) override {
-    if (cell_->remove(w, spin)) this->bump_version();
-  }
+  void remove(Rec& w) override { (void)cell_->remove(w, spin); }
 
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (Rec* w = try_pop()) out.push_back(w);
   }
 
-  [[nodiscard]] const Rec* peek_next(
-      ThreadId /*hint*/) const noexcept override {
-    if (cell_->head != nullptr) return cell_->head;
-    return cell_->first.load(std::memory_order_acquire);
-  }
-
   [[nodiscard]] bool empty() const noexcept override {
     return cell_->empty();
   }
-  /// Walks the consumer side: the adopted head, else the published first
-  /// arrival, along the qnext links. Exact at quiescence; a record whose
-  /// producer is still inside its publication window is not counted yet.
+  /// Counts the consumer side: the staged record, then the adopted head
+  /// (else the published first arrival) along the qnext links. Exact at
+  /// quiescence; a record whose producer is still inside its publication
+  /// window is not counted yet.
   [[nodiscard]] std::size_t size() const noexcept override {
-    std::size_t n = 0;
-    for (const Rec* r = peek_next(kInvalidThread); r != nullptr;
-         r = r->qnext.load(std::memory_order_acquire)) {
+    std::size_t n = cell_->staged != nullptr ? 1 : 0;
+    for (const Rec* r = cell_->head != nullptr
+                            ? cell_->head
+                            : cell_->first.load(std::memory_order_acquire);
+         r != nullptr; r = r->qnext.load(std::memory_order_acquire)) {
       ++n;
     }
     return n;
@@ -557,11 +437,9 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   /// producer's link publication is still in flight (callers retry or let
   /// the lock's paced consumer finish the job).
   [[nodiscard]] Rec* try_pop() noexcept {
-    Rec* const h = cell_->pop([](const char*, std::atomic<Rec*>& slot) {
+    return cell_->pop([](const char*, std::atomic<Rec*>& slot) {
       return slot.load(std::memory_order_acquire);
     });
-    if (h != nullptr) this->bump_version();
-    return h;
   }
 
   /// Waits a publication out by busy-polling. Reached only from the

@@ -110,9 +110,10 @@ struct WaiterRecord {
 /// Concurrency contract: any thread may enqueue (exchange tail, then link
 /// via the predecessor's qnext or `first` when the queue was empty); at
 /// most ONE thread at a time consumes (pop/remove/walk), serialized
-/// externally. `head` is therefore a plain pointer owned by the consumer
-/// side; visibility between successive consumers rides the same
-/// happens-before edges that already order the lock's release protocol.
+/// externally. `head` and `staged` are therefore plain pointers owned by
+/// the consumer side; visibility between successive consumers rides the
+/// same happens-before edges that already order the lock's release
+/// protocol.
 template <Platform P>
 struct WaitQueueCell {
   using Rec = WaiterRecord<P>;
@@ -120,12 +121,17 @@ struct WaitQueueCell {
   std::atomic<Rec*> tail{nullptr};   ///< last arrival; nullptr = empty
   std::atomic<Rec*> first{nullptr};  ///< first arrival's publication slot
   Rec* head = nullptr;               ///< consumer-owned dequeue cursor
+  /// Consumer-owned pop-ahead: the oldest record, already unlinked from
+  /// the producers' chain, so no producer links behind the record the next
+  /// pop grants. Still in the queue: pop, remove and empty all see it.
+  Rec* staged = nullptr;
 
-  /// Consumer-side emptiness. Exact for consumers: a record is reachable
-  /// from head or (transitively) from the published tail, and the last
-  /// consumer pop swings tail back to nullptr before clearing head.
+  /// Consumer-side emptiness. Exact for consumers: a record is staged,
+  /// reachable from head, or (transitively) from the published tail, and
+  /// the last unlink swings tail back to nullptr before clearing head.
   [[nodiscard]] bool empty() const noexcept {
-    return head == nullptr && tail.load(std::memory_order_seq_cst) == nullptr;
+    return staged == nullptr && head == nullptr &&
+           tail.load(std::memory_order_seq_cst) == nullptr;
   }
 
   // Consumer operations. A producer's publication (the `first` slot or a
@@ -135,40 +141,13 @@ struct WaitQueueCell {
   // checker. The lock awaits with paced spins; the scheduler façade's
   // non-waiting operations give up.
 
-  /// Adopts the current generation's published first arrival into the
-  /// consumer cursor. Returns false when the cell is empty or `await` gave
-  /// up.
-  template <typename Await>
-  bool adopt_first(Await&& await) {
-    if (tail.load(std::memory_order_seq_cst) == nullptr) return false;
-    Rec* const f = await("qc.first", first);
-    if (f == nullptr) return false;
-    head = f;
-    first.store(nullptr, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Pops the queue head; nullptr when the cell is empty or `await` gave
-  /// up on a link.
+  /// Pops the oldest record - the staged one, else the linked head - and
+  /// stages its successor. nullptr when the cell is empty or `await` gave
+  /// up on a link (a successor `await` gives up on stays linked).
   template <typename Await>
   [[nodiscard]] Rec* pop(Await&& await) {
-    if (head == nullptr && !adopt_first(await)) return nullptr;
-    Rec* const h = head;
-    Rec* nxt = h->qnext.load(std::memory_order_acquire);
-    if (nxt == nullptr) {
-      // No visible successor: h may be the last node. Swing the tail back
-      // to empty; losing the CAS means a producer swapped in behind h, so
-      // adopt its link once it lands.
-      Rec* expected = h;
-      if (tail.compare_exchange_strong(expected, nullptr,
-                                       std::memory_order_seq_cst)) {
-        head = nullptr;
-        return h;
-      }
-      if ((nxt = await("qc.chase", h->qnext)) == nullptr) return nullptr;
-    }
-    head = nxt;
-    h->qnext.store(nullptr, std::memory_order_relaxed);
+    Rec* const h = staged != nullptr ? staged : unlink_head(await);
+    if (h != nullptr) staged = unlink_head(await);
     return h;
   }
 
@@ -177,6 +156,10 @@ struct WaitQueueCell {
   /// once the predecessor's link is cleared the unlink cannot back out.
   template <typename Await>
   [[nodiscard]] bool remove(Rec& rec, Await&& await) {
+    if (staged == &rec) {
+      staged = nullptr;
+      return true;
+    }
     if (head == nullptr && !adopt_first(await)) return false;
     Rec* prev = nullptr;
     Rec* cur = head;
@@ -216,27 +199,42 @@ struct WaitQueueCell {
     return true;
   }
 
-  /// Head re-insertion (reclaim of a fast-release pre-selection): the
-  /// record was the oldest candidate and goes back in front. `await` must
-  /// wait.
+ private:
+  /// Adopts the current generation's published first arrival into the
+  /// consumer cursor. Returns false when the cell is empty or `await` gave
+  /// up.
   template <typename Await>
-  void push_front(Rec& rec, Await&& await) {
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
-    if (head == nullptr) {
-      Rec* expected = nullptr;
-      if (tail.load(std::memory_order_seq_cst) == nullptr &&
-          tail.compare_exchange_strong(expected, &rec,
+  bool adopt_first(Await&& await) {
+    if (tail.load(std::memory_order_seq_cst) == nullptr) return false;
+    Rec* const f = await("qc.first", first);
+    if (f == nullptr) return false;
+    head = f;
+    first.store(nullptr, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Unlinks the linked head (the staged record aside); nullptr when
+  /// nothing is linked or `await` gave up on a link.
+  template <typename Await>
+  [[nodiscard]] Rec* unlink_head(Await&& await) {
+    if (head == nullptr && !adopt_first(await)) return nullptr;
+    Rec* const h = head;
+    Rec* nxt = h->qnext.load(std::memory_order_acquire);
+    if (nxt == nullptr) {
+      // No visible successor: h may be the last node. Swing the tail back
+      // to empty; losing the CAS means a producer swapped in behind h, so
+      // adopt its link once it lands.
+      Rec* expected = h;
+      if (tail.compare_exchange_strong(expected, nullptr,
                                        std::memory_order_seq_cst)) {
-        // Empty cell: rec is first and last; producers link behind it.
-        head = &rec;
-        return;
+        head = nullptr;
+        return h;
       }
-      // A producer won the empty slot. rec still goes first: adopt the
-      // producer's publication as the queue behind rec.
-      adopt_first(await);
+      if ((nxt = await("qc.chase", h->qnext)) == nullptr) return nullptr;
     }
-    rec.qnext.store(head, std::memory_order_release);
-    head = &rec;
+    head = nxt;
+    h->qnext.store(nullptr, std::memory_order_relaxed);
+    return h;
   }
 };
 
@@ -257,22 +255,6 @@ class WaiterQueue {
       head_ = &r;
     }
     tail_ = &r;
-    ++size_;
-  }
-
-  /// Re-inserts a record at the head. Used to return a pre-dequeued
-  /// successor (the fast-release cache) to the queue without losing its
-  /// FIFO position: the cached record was the oldest selection candidate.
-  void push_front(Rec& r) noexcept {
-    r.prev = nullptr;
-    r.next = head_;
-    r.queued = true;
-    if (head_ != nullptr) {
-      head_->prev = &r;
-    } else {
-      tail_ = &r;
-    }
-    head_ = &r;
     ++size_;
   }
 

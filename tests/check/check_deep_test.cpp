@@ -85,6 +85,10 @@ TEST(RelockCheckDeep, QueueTimeout2Bound3) {
   expect_exhaustive(scenarios::queue_timeout2(), 3);
 }
 
+TEST(RelockCheckDeep, QueueStagedTimeout3Bound3) {
+  expect_exhaustive(scenarios::queue_staged_timeout3(), 3);
+}
+
 TEST(RelockCheckDeep, QueueConfig2Bound3) {
   expect_exhaustive(scenarios::queue_config2(), 3);
 }

@@ -60,7 +60,7 @@ inline void lock_cycle(const std::shared_ptr<Lock>& lk, Context& ctx) {
 }
 
 /// Two spinning threads race one FCFS lock: registration, lock-free
-/// arrival, direct handoff, lost-release guard, next_grant_ pre-selection.
+/// arrival, direct handoff, lost-release guard, the queue cell's pop-ahead.
 inline Scenario handoff2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("handoff2", kind);
@@ -311,8 +311,8 @@ inline Scenario queue_arrival2() {
 
 /// A timed distributed-queue acquisition races the holder's release:
 /// MCS-with-timeout node self-removal (tail retraction against an
-/// in-flight producer, cache-hit resolution at to.cache) against a grant
-/// that may land before, during, or after the deadline.
+/// in-flight producer) against a grant that may land before, during, or
+/// after the deadline.
 inline Scenario queue_timeout2() {
   Scenario s;
   s.name = "queue_timeout2";
@@ -326,6 +326,36 @@ inline Scenario queue_timeout2() {
       CheckPlatform::yield(ctx);
       lk->unlock(ctx);
     });
+    f.add_thread(1, [lk](Context& ctx) {
+      if (lk->lock_for(ctx, 300)) {
+        ctx.cs_enter();
+        ctx.cs_exit();
+        lk->unlock(ctx);
+      }
+    });
+  };
+  return s;
+}
+
+/// queue_timeout2 with a plain waiter queued ahead of the timed one: the
+/// release that grants the plain waiter stages the timed waiter's record
+/// (the cell's pop-ahead), so the timeout can land while that record is
+/// staged - off the producers' chain but still queued - and its withdrawal
+/// must find it there, against the next release's pop of it.
+inline Scenario queue_staged_timeout3() {
+  Scenario s;
+  s.name = "queue_staged_timeout3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kQueue, LockAttributes::blocking());
+    f.add_thread(1, [lk](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      ctx.cs_exit();
+      CheckPlatform::yield(ctx);
+      lk->unlock(ctx);
+    });
+    f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     f.add_thread(1, [lk](Context& ctx) {
       if (lk->lock_for(ctx, 300)) {
         ctx.cs_enter();

@@ -44,8 +44,8 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 TEST(RelockCheckSeededBug1, PctFindsSharedScratchAndReplays) {
-  // Seed 1 finds the race at schedule 499; seeds 2-5 all find it within
-  // 833 schedules, so the 5000-schedule budget has ample margin for
+  // Seed 1 finds the race at schedule 811; seeds 2-5 all find it within
+  // 439 schedules, so the 5000-schedule budget has ample margin for
   // env-overridden seeds.
   const std::uint64_t seed = env_u64("RELOCK_CHECK_SEED", 1);
   const std::uint64_t budget = env_u64("RELOCK_CHECK_SCHEDULES", 5000);

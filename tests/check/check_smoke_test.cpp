@@ -92,6 +92,12 @@ TEST(RelockCheckSmoke, QueueTimeout2Exhaustive) {
   expect_exhaustive(scenarios::queue_timeout2(), 2);
 }
 
+TEST(RelockCheckSmoke, QueueStagedTimeout3Bound2Exhaustive) {
+  // A timed waiter's record withdrawn while the cell's pop-ahead holds it
+  // staged, racing the release that would pop and grant it.
+  expect_exhaustive(scenarios::queue_staged_timeout3(), 2);
+}
+
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {
   // kQueue -> kFcfs -> kQueue reconfiguration with linked waiters: two
   // immediate cell -> cell installs. The twin goes through a stack-served

@@ -60,8 +60,6 @@ struct LockLayoutProbe {
             span("writer_held_", lk.writer_held_),
             span("fast_releases_inflight_", lk.fast_releases_inflight_),
             span("quiesce_breakers_", lk.quiesce_breakers_),
-            span("next_grant_", lk.next_grant_),
-            span("next_grant_version_", lk.next_grant_version_),
             span("recursion_depth_", lk.recursion_depth_),
             span("full_mode_hold_", lk.full_mode_hold_),
             span("acquire_time_", lk.acquire_time_),

@@ -1,11 +1,12 @@
 // Direct-handoff release path vs. the configuration-quiescence epoch, on
 // NativePlatform with real threads. The fast release publishes ownership
-// with a single store to a pre-selected successor; configuration operations
-// break that epoch (Dekker handshake in QuiesceGuard) and fold the cached
-// pre-selection back into its queue. These tests pin down the two
-// properties that folding must preserve:
+// with a single store to the successor it selects (for FCFS, the record
+// the queue cell's previous pop staged); configuration operations break
+// that epoch (Dekker handshake in QuiesceGuard) and mutate the modules
+// under meta. These tests pin down the two properties those mutations
+// must preserve:
 //   - FCFS grant order survives epoch flips (a reconfiguration mid-storm
-//     must not reorder the queue or lose the cached successor);
+//     must not reorder the queue or lose the staged successor);
 //   - priority-threshold semantics survive threshold raises/lowers and a
 //     scheduler swap while ineligible waiters sit stranded in the
 //     outgoing module.
@@ -50,8 +51,8 @@ void await_waiters(const Lock& lock, std::uint32_t n) {
 // Waiters arrive one at a time (serialized on waiter_count) while the lock
 // is held, so the FIFO arrival order is known exactly. Waiting-policy
 // reconfigurations are applied while they queue - each one quiesces the
-// fast path and reclaims the pre-selected successor - and again while the
-// grant chain is running. Grants must still come out in arrival order.
+// fast path - and again while the grant chain is running, with a record
+// staged in the cell. Grants must still come out in arrival order.
 TEST(HandoffEpoch, FcfsOrderSurvivesWaitingPolicyFlips) {
   native::Domain dom(64);
   Lock lock(dom, {.scheduler = SchedulerKind::kFcfs});
@@ -80,8 +81,8 @@ TEST(HandoffEpoch, FcfsOrderSurvivesWaitingPolicyFlips) {
       });
       // Serialize arrivals: thread i is queued before i+1 starts.
       await_waiters(lock, i + 1);
-      // Break the epoch mid-arrival: the reconfiguration must reclaim any
-      // pre-selected successor without dropping or reordering it.
+      // Break the epoch mid-arrival: the reconfiguration must not drop or
+      // reorder any queued record.
       lock.configure_waiting(main_ctx,
                              kPolicies[rng.below(std::size(kPolicies))]);
     }
@@ -235,8 +236,8 @@ TEST(HandoffEpoch, SchedulerSwapWithStrandedWaiters) {
 // Storm: workers of mixed priority hammer the lock through conditional
 // acquisitions while a reconfigurator raises and lowers the threshold and
 // flips the waiting policy - every flip is an epoch break racing live fast
-// handoffs. Oracle: mutual exclusion, ops conservation, and no waiter or
-// pre-selection leaked once the storm drains.
+// handoffs. Oracle: mutual exclusion, ops conservation, and no waiter
+// leaked once the storm drains.
 TEST(HandoffEpoch, ThresholdChurnStormKeepsExclusionAndConservation) {
   native::Domain dom(64);
   Lock lock(dom, {.scheduler = SchedulerKind::kPriorityThreshold});

@@ -68,7 +68,6 @@ class QueueFacadeUnit : public ::testing::Test {
 
 TEST_F(QueueFacadeUnit, KindAndPolicy) {
   EXPECT_EQ(sched_.kind(), SchedulerKind::kQueue);
-  EXPECT_EQ(sched_.successor_policy(), SuccessorPolicy::kStableHead);
   EXPECT_TRUE(sched_.empty());
   EXPECT_EQ(sched_.size(), 0u);
   EXPECT_EQ(sched_.pop_any(), nullptr);
@@ -82,7 +81,6 @@ TEST_F(QueueFacadeUnit, FifoSelectIgnoresPriorityAndHint) {
   sched_.enqueue(b);
   sched_.enqueue(c);
   EXPECT_EQ(sched_.size(), 3u);
-  EXPECT_EQ(sched_.peek_next(kInvalidThread), &a);
   GrantBatch<SimPlatform> batch;
   sched_.select(batch, /*hint=*/3);  // hints do not reorder a FIFO
   ASSERT_EQ(batch.size(), 1u);
@@ -118,29 +116,135 @@ TEST_F(QueueFacadeUnit, RemoveHeadMiddleTailAndReuse) {
   EXPECT_TRUE(sched_.empty());
 }
 
-TEST_F(QueueFacadeUnit, EnqueueFrontRestoresHeadPosition) {
+// ------------------------------------------------- the cell's pop-ahead --
+// Every pop stages the next record: it unlinks it from the producers'
+// chain, so no arrival links behind the record the next pop grants. The
+// staged record is still queued - the next pop returns it, remove() finds
+// it, and empty() and size() count it.
+
+/// The façade's own consumers never wait; neither does this one.
+SimRec* no_wait(const char*, std::atomic<SimRec*>& slot) {
+  return slot.load(std::memory_order_acquire);
+}
+
+TEST_F(QueueFacadeUnit, PopReturnsTheStagedRecordFirst) {
   SimRec& a = make(1);
   SimRec& b = make(2);
+  SimRec& c = make(3);
   sched_.enqueue(a);
   sched_.enqueue(b);
-  SimRec* head = sched_.pop_any();
-  ASSERT_EQ(head, &a);
-  sched_.enqueue_front(*head);  // reclaim: oldest goes back in front
   EXPECT_EQ(sched_.pop_any(), &a);
+  // b was the last linked record: staging it swung the tail back to empty.
+  EXPECT_EQ(sched_.cell().staged, &b);
+  EXPECT_EQ(sched_.cell().tail.load(), nullptr);
+  sched_.enqueue(c);  // publishes through the first slot, not behind b
+  EXPECT_EQ(b.qnext.load(), nullptr);
   EXPECT_EQ(sched_.pop_any(), &b);
-  // enqueue_front into an empty queue is the degenerate case.
-  sched_.enqueue_front(a);
-  EXPECT_EQ(sched_.peek_next(kInvalidThread), &a);
-  EXPECT_EQ(sched_.pop_any(), &a);
+  EXPECT_EQ(sched_.cell().staged, &c);
+  EXPECT_EQ(sched_.pop_any(), &c);
+  EXPECT_EQ(sched_.cell().staged, nullptr);
+  EXPECT_EQ(sched_.pop_any(), nullptr);
   EXPECT_TRUE(sched_.empty());
+}
+
+TEST_F(QueueFacadeUnit, RemoveOfTheStagedRecord) {
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  sched_.enqueue(a);
+  sched_.enqueue(b);
+  sched_.enqueue(c);
+  ASSERT_EQ(sched_.pop_any(), &a);
+  ASSERT_EQ(sched_.cell().staged, &b);
+  EXPECT_TRUE(sched_.cell().remove(b, no_wait));
+  EXPECT_EQ(sched_.cell().staged, nullptr);
+  EXPECT_FALSE(sched_.cell().remove(b, no_wait)) << "removed twice";
+  EXPECT_EQ(sched_.size(), 1u);
+  EXPECT_EQ(sched_.pop_any(), &c);
+  EXPECT_TRUE(sched_.empty());
+  // The withdrawn record is clean for re-enqueue.
+  sched_.enqueue(b);
+  EXPECT_EQ(sched_.pop_any(), &b);
+  EXPECT_TRUE(sched_.empty());
+}
+
+TEST_F(QueueFacadeUnit, EmptyAndSizeCountTheStagedRecord) {
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  sched_.enqueue(a);
+  sched_.enqueue(b);
+  ASSERT_EQ(sched_.pop_any(), &a);
+  // Only the staged record is left: no head, no tail, yet not empty.
+  ASSERT_EQ(sched_.cell().staged, &b);
+  EXPECT_EQ(sched_.cell().head, nullptr);
+  EXPECT_EQ(sched_.cell().tail.load(), nullptr);
+  EXPECT_FALSE(sched_.cell().empty());
+  EXPECT_FALSE(sched_.empty());
+  EXPECT_EQ(sched_.size(), 1u);
+  sched_.enqueue(c);
+  EXPECT_EQ(sched_.size(), 2u);
+  EXPECT_EQ(sched_.pop_any(), &b);
+  EXPECT_EQ(sched_.size(), 1u);
+  EXPECT_EQ(sched_.pop_any(), &c);
+  EXPECT_EQ(sched_.size(), 0u);
+  EXPECT_TRUE(sched_.empty());
+}
+
+TEST_F(QueueFacadeUnit, PopAnyMigrationYieldsStagedThenLinkedInFifoOrder) {
+  // The lock migrates a replaced module's waiters with pop_any: the staged
+  // record must come out first, then the linked ones, in arrival order.
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  SimRec& d = make(4);
+  for (SimRec* r : {&a, &b, &c, &d}) sched_.enqueue(*r);
+  ASSERT_EQ(sched_.pop_any(), &a);  // granted; b staged, c and d linked
+  ASSERT_EQ(sched_.cell().staged, &b);
+  FcfsScheduler<SimPlatform> target;
+  while (SimRec* r = sched_.pop_any()) target.enqueue(*r);
+  EXPECT_TRUE(sched_.empty());
+  GrantBatch<SimPlatform> batch;
+  for (SimRec* want : {&b, &c, &d}) {
+    batch.clear();
+    target.select(batch, kInvalidThread);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch.front(), want);
+  }
+  EXPECT_TRUE(target.empty());
+}
+
+TEST_F(QueueFacadeUnit, NewGenerationAfterTheCellEmpties) {
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  SimRec& d = make(4);
+  sched_.enqueue(a);
+  EXPECT_EQ(sched_.pop_any(), &a);  // nothing left to stage
+  EXPECT_EQ(sched_.cell().staged, nullptr);
+  EXPECT_TRUE(sched_.empty());
+  // A new generation publishes through the first slot again.
+  sched_.enqueue(b);
+  EXPECT_EQ(sched_.cell().first.load(), &b);
+  sched_.enqueue(c);
+  EXPECT_EQ(sched_.size(), 2u);
+  EXPECT_EQ(sched_.pop_any(), &b);
+  // c, staged, ended that generation; d starts the next one behind it.
+  EXPECT_EQ(sched_.cell().staged, &c);
+  sched_.enqueue(d);
+  EXPECT_EQ(sched_.size(), 2u);
+  EXPECT_EQ(sched_.pop_any(), &c);
+  EXPECT_EQ(sched_.pop_any(), &d);
+  EXPECT_TRUE(sched_.empty());
+  EXPECT_EQ(sched_.size(), 0u);
 }
 
 // ------------------------------------------------ native lock behavior ---
 
-// size() walks the consumer side (adopted head, else the published first
-// arrival, along qnext): it must be exact after every interleaving of
-// producer enqueues with pops, removals and head re-insertions, including
-// across an empty -> non-empty generation change.
+// size() counts the consumer side (the staged record, then the adopted
+// head, else the published first arrival, along qnext): it must be exact
+// after every interleaving of producer enqueues with pops, removals and
+// re-enqueues, including across an empty -> non-empty generation change.
 TEST_F(QueueFacadeUnit, SizeWalksInterleavedEnqueuePopRemove) {
   SimRec& a = make(1);
   SimRec& b = make(2);
@@ -153,17 +257,17 @@ TEST_F(QueueFacadeUnit, SizeWalksInterleavedEnqueuePopRemove) {
   EXPECT_EQ(sched_.size(), 3u);
   SimRec* head = sched_.pop_any();
   ASSERT_EQ(head, &a);
-  EXPECT_EQ(sched_.size(), 2u);
+  EXPECT_EQ(sched_.size(), 2u);  // b staged, c linked
   sched_.enqueue(d);
   EXPECT_EQ(sched_.size(), 3u);
   sched_.remove(c);  // middle
   EXPECT_EQ(sched_.size(), 2u);
-  sched_.enqueue_front(*head);
+  sched_.enqueue(*head);  // the popped record re-enqueues at the tail
   EXPECT_EQ(sched_.size(), 3u);
-  sched_.remove(d);  // tail
+  sched_.remove(*head);  // tail
   EXPECT_EQ(sched_.size(), 2u);
-  EXPECT_EQ(sched_.pop_any(), &a);
   EXPECT_EQ(sched_.pop_any(), &b);
+  EXPECT_EQ(sched_.pop_any(), &d);
   EXPECT_EQ(sched_.size(), 0u);
   EXPECT_TRUE(sched_.empty());
   // A new generation starts in the first slot again.
@@ -201,16 +305,17 @@ TEST(QueueFacadeOnCell, SizeTracksTheCellsOwnConsumer) {
   EXPECT_EQ(facade.size(), 4u);
   Rec* head = cell.pop(wait);
   ASSERT_EQ(head, &recs[0]);
+  EXPECT_EQ(cell.staged, &recs[1]);
   EXPECT_EQ(facade.size(), 3u);
   ASSERT_TRUE(cell.remove(recs[2], wait));
   EXPECT_EQ(facade.size(), 2u);
   EXPECT_FALSE(cell.remove(recs[2], wait)) << "removed twice";
-  cell.push_front(*head, wait);
+  facade.enqueue(*head);  // the popped record re-enqueues at the tail
   EXPECT_EQ(facade.size(), 3u);
-  EXPECT_EQ(facade.pop_any(), &recs[0]);
-  EXPECT_EQ(cell.pop(wait), &recs[1]);
+  EXPECT_EQ(facade.pop_any(), &recs[1]);
+  EXPECT_EQ(cell.pop(wait), &recs[3]);
   EXPECT_EQ(facade.size(), 1u);
-  EXPECT_EQ(facade.pop_any(), &recs[3]);
+  EXPECT_EQ(facade.pop_any(), &recs[0]);
   EXPECT_EQ(facade.size(), 0u);
   EXPECT_TRUE(cell.empty());
   EXPECT_EQ(cell.pop(wait), nullptr);
@@ -388,6 +493,39 @@ TEST(QueueScheduler, MiddleNodeTimeoutLeavesNeighborsLinked) {
   w3.join();
   EXPECT_EQ(granted.load(), 2);
   EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+}
+
+TEST(QueueScheduler, StagedRecordTimesOutAndSelfRemoves) {
+  // W1 (no timeout) queues ahead of W2 (short timeout). The release that
+  // grants W1 stages W2's record, and W1 holds the lock until W2's
+  // deadline passes: W2 must withdraw itself from the staged slot, so W1's
+  // release finds the cell empty and frees the lock.
+  native::Domain dom;
+  Lock lk(dom, opts());
+  native::Context ctx(dom);
+  lk.lock(ctx);
+  std::atomic<bool> w2_done{false};
+  std::thread w1([&] {
+    native::Context tctx(dom);
+    lk.lock(tctx);
+    await([&] { return w2_done.load(std::memory_order_acquire); }, true);
+    lk.unlock(tctx);
+  });
+  await([&] { return lk.waiter_count() == 1; }, true);
+  std::thread w2([&] {
+    native::Context tctx(dom);
+    EXPECT_FALSE(lk.lock_for(tctx, 60'000'000));  // 60 ms: times out
+    w2_done.store(true, std::memory_order_release);
+  });
+  await([&] { return lk.waiter_count() == 2; }, true);
+  lk.unlock(ctx);  // grants W1 and stages W2
+  w1.join();
+  w2.join();
+  EXPECT_EQ(lk.waiter_count(), 0u);
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+  EXPECT_TRUE(lk.in_fast_mode(ctx));
+  lk.lock(ctx);
+  lk.unlock(ctx);
 }
 
 TEST(QueueScheduler, MutexTryLockForOnQueueConfiguration) {

@@ -1,15 +1,18 @@
 // Direct unit tests of the scheduler modules (Gamma) and the WaiterQueue
 // they are built on, plus dynamic installation of a user-supplied scheduler
-// (EdfScheduler) through the lock's configure_scheduler extension point.
+// (EdfScheduler) through the lock's configure_scheduler extension point, on
+// the simulator and on the native lock's fast release.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "relock/core/configurable_lock.hpp"
 #include "relock/core/edf_scheduler.hpp"
 #include "relock/core/scheduler.hpp"
+#include "relock/platform/native.hpp"
 #include "relock/sim/machine.hpp"
 
 namespace relock {
@@ -287,6 +290,40 @@ TEST(CustomScheduler, EdfInstalledDynamicallyOrdersGrantsByDeadline) {
   }
   m.run();
   EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
+}
+
+// A custom module takes the native single-store release like the built-in
+// kinds: each release drains the arrivals into the EDF module and selects
+// afresh, so four waiters queued behind the holder are granted earliest
+// deadline first, round after round.
+TEST(CustomScheduler, EdfOnNativeLockGrantsEarliestDeadlineFirst) {
+  using NP = native::NativePlatform;
+  native::Domain dom(8);
+  ConfigurableLock<NP> lock(dom);
+  native::Context ctx(dom);
+  lock.configure_scheduler(ctx, std::make_unique<EdfScheduler<NP>>());
+  ASSERT_EQ(lock.scheduler_kind(), SchedulerKind::kCustom);
+  const Priority deadlines[] = {40, 10, 30, 20};
+  for (int round = 0; round < 100; ++round) {
+    ASSERT_TRUE(lock.lock(ctx));
+    std::vector<Priority> order;  // appended to under `lock` itself
+    std::vector<std::thread> waiters;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      waiters.emplace_back([&, i] {
+        native::Context tctx(dom, deadlines[i]);
+        ASSERT_TRUE(lock.lock(tctx));
+        order.push_back(deadlines[i]);
+        lock.unlock(tctx);
+      });
+      // Serialized arrivals: the next waiter starts once this one counts.
+      while (lock.waiter_count() != i + 1) std::this_thread::yield();
+    }
+    lock.unlock(ctx);
+    for (auto& w : waiters) w.join();
+    ASSERT_EQ(order, (std::vector<Priority>{10, 20, 30, 40}))
+        << "round " << round;
+  }
+  EXPECT_EQ(lock.waiter_count(), 0u);
 }
 
 }  // namespace
