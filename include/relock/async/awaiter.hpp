@@ -150,7 +150,7 @@ class [[nodiscard]] LockAwaiter {
       }
       return true;
     }
-    (void)AsyncGate<P>::enqueue(ctx, lk, op_.rec);
+    AsyncGate<P>::enqueue(ctx, lk, op_.rec);
     return true;
   }
 

@@ -2,9 +2,10 @@
 // private arrival, withdrawal, and quiescence machinery. A suspended
 // coroutine cannot run the lock's waiting engine (there is no thread to
 // spin or park), so the gate replays exactly the registration half of the
-// sync protocols - the lock-free arrival push, the breaker arm, the
-// timeout-vs-grant resolution - on behalf of a WaiterRecord whose grant is
-// delivered through WaiterRecord::grant_hook instead of a polled flag.
+// sync protocols - the lock-free tail swap into the queue cell, the breaker
+// arm, the timeout-vs-grant resolution - on behalf of a WaiterRecord whose
+// grant is delivered through WaiterRecord::grant_hook instead of a polled
+// flag.
 //
 // Contains no coroutine code itself (it is pure lock-protocol glue), but
 // lives under relock/async/ and behind its gate because nothing else
@@ -15,12 +16,8 @@
 
 #if RELOCK_ASYNC_ENABLED
 
-#include <atomic>
-#include <cstdint>
-
 #include "relock/core/configurable_lock.hpp"
 #include "relock/core/waiter.hpp"
-#include "relock/platform/chk_hooks.hpp"
 
 namespace relock {
 
@@ -34,13 +31,6 @@ struct AsyncGate {
   using Ctx = typename P::Context;
   using Rec = WaiterRecord<P>;
 
-  /// Where an enqueued record lives, so a later timeout withdrawal knows
-  /// which drain to run first: the lock's arrival publisher. kCell also
-  /// covers reader-writer records: they are module-enqueued under meta and
-  /// never sit on the arrival stack, so the stack drain must be skipped for
-  /// them too.
-  using EnqueueMode = typename Lock::Arrival;
-
   [[nodiscard]] static typename P::Domain& domain(Lock& lk) noexcept {
     return lk.domain_;
   }
@@ -53,35 +43,26 @@ struct AsyncGate {
 
   /// Arms the conditional-waiter breaker for a timed async wait: a record
   /// that may be withdrawn off-queue must never be fast-granted behind the
-  /// meta guard's back (same contract as the sync paths' BreakerToken). Armed BEFORE the record becomes reachable; the
-  /// timeout resolution waits out releases already in flight.
+  /// meta guard's back (same contract as the sync paths' BreakerToken).
+  /// Armed BEFORE the record becomes reachable; the timeout resolution
+  /// waits out releases already in flight.
   static void arm_breaker(Ctx& ctx, Lock& lk) {
-    chk_point<P>(ctx, "bt.arm");
-    lk.quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
-    lk.note(ctx, LockEvent::kBreakerArm);
+    lk.arm_breaker(ctx, "bt.arm");
   }
-  static void disarm_breaker(Ctx& ctx, Lock& lk) {
-    lk.quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
-    lk.note(ctx, LockEvent::kBreakerDisarm);
-  }
+  static void disarm_breaker(Ctx& ctx, Lock& lk) { lk.disarm_breaker(ctx); }
 
   /// Contended arrival for an exclusive coroutine waiter: the sync
-  /// acquire_contended publish protocols, minus the waiting engine. After
-  /// the record is published a concurrent release may grant it - and its
-  /// hook may resume the frame - at any moment, including from inside the
+  /// acquire_contended publish protocol, minus the waiting engine. Every
+  /// kind publishes into the queue cell. kNone does too: a coroutine cannot
+  /// barge in the TTAS engine, so the cell's drain parks it on the orphan
+  /// FIFO and the release module hands off to it directly. After the
+  /// record is published a concurrent release may grant it - and its hook
+  /// may resume the frame - at any moment, including from inside the
   /// lost-release guard; callers must not touch the op after this returns
   /// unless they are the only party that ever resumes it (the manager
   /// executor is).
-  static EnqueueMode enqueue(Ctx& ctx, Lock& lk, Rec& rec) {
-    if (Lock::cell_served(lk.arrival_target_kind())) {
-      lk.template publish_arrival<EnqueueMode::kCell>(ctx, rec);
-      return EnqueueMode::kCell;
-    }
-    // kNone also rides the arrival stack: a coroutine cannot barge in the
-    // TTAS engine, so the release module's orphan FIFO hands off directly -
-    // the same machinery that absorbs reconfigure-to-kNone races.
-    lk.template publish_arrival<EnqueueMode::kStack>(ctx, rec);
-    return EnqueueMode::kStack;
+  static void enqueue(Ctx& ctx, Lock& lk, Rec& rec) {
+    lk.publish_arrival(ctx, rec);
   }
 
   /// Reader-writer arrival (mirrors acquire_rw). Returns true when entry
@@ -100,9 +81,7 @@ struct AsyncGate {
       }
       return true;
     }
-    Scheduler<P>* target = lk.arrival_module();
-    rec.registered_with = target;
-    target->enqueue(rec);
+    lk.enlist(rec, lk.arrival_module());
     lk.count_arrival();
     lk.meta_unlock(ctx);
     return false;
@@ -118,13 +97,8 @@ struct AsyncGate {
   /// the epoch, so an inline-resumed frame's unlock cannot deadlock against
   /// this meta-held drain) and arrives as an ordinary grant message for the
   /// caller to consume normally.
-  static bool resolve_timeout(Ctx& ctx, Lock& lk, Rec& rec, EnqueueMode mode) {
-    using Result = typename Lock::WaitResult;
-    const Result r =
-        mode == EnqueueMode::kStack
-            ? lk.template resolve_timeout_lockfree<EnqueueMode::kStack>(ctx, rec)
-            : lk.template resolve_timeout_lockfree<EnqueueMode::kCell>(ctx, rec);
-    return r == Result::kTimedOut;
+  static bool resolve_timeout(Ctx& ctx, Lock& lk, Rec& rec) {
+    return lk.resolve_timeout_lockfree(ctx, rec) == Lock::WaitResult::kTimedOut;
   }
 
   /// Post-grant bookkeeping, run on the resumed frame's context: the tail

@@ -135,7 +135,6 @@ class ManagerExecutor final : public Executor<P> {
     op.rec.priority = ctx.priority();
     auto& lk = *op.lock;
     if (Gate::is_rw(lk)) {
-      op.mode = Gate::EnqueueMode::kCell;  // never on the arrival stack
       if (Gate::enqueue_rw(ctx, lk, op.rec, op.shared)) {
         op.immediate = true;
         resume(ctx, op);
@@ -146,7 +145,7 @@ class ManagerExecutor final : public Executor<P> {
         Gate::arm_breaker(ctx, lk);
         op.breaker_armed = true;
       }
-      op.mode = Gate::enqueue(ctx, lk, op.rec);
+      Gate::enqueue(ctx, lk, op.rec);
       // A grant can already have fired inside enqueue's lost-release
       // guard; its kGrant message is in our inbox and runs next round.
     }
@@ -173,7 +172,7 @@ class ManagerExecutor final : public Executor<P> {
       Op* const next = t->timer_next;
       if (t->deadline <= now) {
         timer_unlink(*t);
-        if (Gate::resolve_timeout(ctx, *t->lock, t->rec, t->mode)) {
+        if (Gate::resolve_timeout(ctx, *t->lock, t->rec)) {
           t->timed_out = true;
           resume(ctx, *t);
         }

@@ -5,8 +5,8 @@
 // test thread) resumes exactly one coroutine at a time, so a schedule is a
 // totally ordered sequence of *steps*. A step runs a thread from one
 // scheduling point to the next: platform Word operations, chk_point hooks
-// (host-side atomics: epoch counters, queue-cell links, grant scratch,
-// arrival links, attribute seqlocks), parker transitions, pauses/yields/
+// (host-side atomics: epoch counters, queue-cell links and tail, grant
+// scratch, attribute seqlocks), parker transitions, pauses/yields/
 // delays, and block/block_for. The strategy (DFS with a preemption bound,
 // PCT-style randomized priorities, or trace replay) chooses which enabled
 // action runs at each point; oracles validate every schedule.

@@ -8,8 +8,9 @@
 // effect plus everything up to the next point forms one atomic step.
 //
 // kRealConcurrency is true: the checker's whole purpose is to explore the
-// contention machinery (lock-free arrival stack, MCS queue cell and its
-// pop-ahead, quiescence epoch, oversubscription escalation) that only
+// contention machinery (the MCS queue cell every lock-free arrival
+// publishes into, its drain and pop-ahead, quiescence epoch,
+// oversubscription escalation) that only
 // compiles in on real-concurrency platforms.
 //
 // The parker is an algorithmic port of platform/parker.hpp's token protocol

@@ -25,19 +25,20 @@
 // policy").
 //
 // Contended-arrival design on real-concurrency platforms (kRealConcurrency):
-// arriving waiters do NOT take the meta guard. FIFO kinds (kFcfs, kQueue)
-// are served straight from the lock-resident MCS queue cell: an arrival
-// tail-swaps its stack-resident WaiterRecord in and links behind its
-// predecessor, and the releaser pops the head and grants it with one store
-// (see cell_served()). Every other scheduled kind pushes the record onto a
-// lock-free MPSC arrival stack with a single exchange on the arrivals word;
-// the release module - already serialized by meta or by ownership - drains
-// the stack into the scheduler module before selecting a grant.
-// Registration therefore stays "the cost of one write operation" even under
-// contention, and the meta guard degenerates to a release-side-only lock. On
-// simulated platforms every word access has a calibrated cost and the
-// meta-guarded arrival path is kept verbatim (kFcfs keeps FcfsScheduler
-// there) so the reproduction tables stay byte-stable.
+// arriving waiters do NOT take the meta guard. Every scheduled arrival -
+// and every coroutine arrival, kNone included - tail-swaps its
+// WaiterRecord into the lock-resident MCS queue cell and links behind its
+// predecessor. FIFO kinds (kFcfs, kQueue) are served straight from the
+// cell: the releaser pops the head and grants it with one store (see
+// cell_served()). For every other kind the release module - already
+// serialized by meta or by ownership - drains the cell, in arrival order,
+// into the scheduler module (or the orphan FIFO for kNone) before
+// selecting a grant. Registration therefore stays "the cost of one write
+// operation" even under contention, and the meta guard degenerates to a
+// release-side-only lock. On simulated platforms every word access has a
+// calibrated cost and the meta-guarded arrival path is kept verbatim
+// (kFcfs keeps FcfsScheduler there) so the reproduction tables stay
+// byte-stable.
 //
 // Contended-release design (kRealConcurrency, the configuration-quiescence
 // epoch): the steady-state contended release does not take the meta guard
@@ -67,8 +68,8 @@
 // (exclusive, passive, non-recursive, non-advisory) acquire is one
 // test-and-set and release is one CAS of held->free that bypasses the
 // release module entirely. Any waiter that registers state the release
-// module must observe sets the contended bit first (arrival stack:
-// mark-after-push; centralized sleepers: mark under meta), which makes the
+// module must observe sets the contended bit first (queue cell:
+// mark-after-swap; centralized sleepers: mark under meta), which makes the
 // release CAS fail and routes the owner through the full path. The bit is
 // sticky across handoff chains and cleared only by the guarded path's
 // free-publish, which is exactly the point where no waiter remains - so
@@ -122,19 +123,14 @@ class ConfigurableLock {
   friend struct AsyncGate<P>;
   friend struct LockLayoutProbe<P>;
 
-  /// Stand-in for a platform word that only one platform family uses. The
-  /// arrivals word exists only on kRealConcurrency platforms: allocating a
-  /// real platform word on the simulator would shift its round-robin cell
-  /// placement for every later allocation and perturb the calibrated
-  /// tables. The registry word exists only on the simulator, where its
-  /// store is the paper's registration write (formal_cost_test prices it);
-  /// nothing ever reads it back.
+  /// Stand-in for the registry word on kRealConcurrency platforms. It
+  /// exists only on the simulator, where its store is the paper's
+  /// registration write (formal_cost_test prices it); nothing ever reads
+  /// it back.
   struct NoWord {
     explicit NoWord(typename P::Domain&, std::uint64_t = 0,
                     Placement = Placement::any()) {}
   };
-  using ArrivalsWord =
-      std::conditional_t<kRealConcurrency<P>, typename P::Word, NoWord>;
   using RegistryWord =
       std::conditional_t<kRealConcurrency<P>, NoWord, typename P::Word>;
 
@@ -212,7 +208,6 @@ class ConfigurableLock {
         registry_(domain, 0, opts.placement),
         possess_word_(domain, 0, opts.placement),
         mailbox_(domain, 0, opts.placement),
-        arrivals_(domain, 0, opts.placement),
         scheduler_kind_(opts.scheduler) {
     // Assigned in the body, not the init list: a cell-served module is a
     // façade over queue_cell_, a member declared further down.
@@ -372,16 +367,12 @@ class ConfigurableLock {
   bool try_possess(Ctx& ctx, AttributeClass c) {
     const auto bit = static_cast<std::uint64_t>(c);
     const bool won = (P::fetch_or(ctx, possess_word_, bit) & bit) == 0;
-    if constexpr (kRealConcurrency<P>) {
+    if (won) {
       // Possession opens a reconfiguration window: breaks the quiescence
       // epoch so releasers stay on the guarded path until it is released.
-      if (won) {
-        chk_point<P>(ctx, "possess.arm");
-        quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
-        note(ctx, LockEvent::kBreakerArm);
-      }
+      arm_breaker(ctx, "possess.arm");
+      note_trace(ctx, LockEvent::kPossess, bit);
     }
-    if (won) note_trace(ctx, LockEvent::kPossess, bit);
     return won;
   }
   void possess(Ctx& ctx, AttributeClass c) {
@@ -392,14 +383,10 @@ class ConfigurableLock {
   void release_possession(Ctx& ctx, AttributeClass c) {
     const auto bit = static_cast<std::uint64_t>(c);
     const std::uint64_t prev = P::fetch_and(ctx, possess_word_, ~bit);
-    if constexpr (kRealConcurrency<P>) {
-      if ((prev & bit) != 0) {
-        chk_point<P>(ctx, "possess.disarm");
-        quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
-        note(ctx, LockEvent::kBreakerDisarm);
-      }
+    if ((prev & bit) != 0) {
+      disarm_breaker(ctx, "possess.disarm");
+      note_trace(ctx, LockEvent::kUnpossess, bit);
     }
-    if ((prev & bit) != 0) note_trace(ctx, LockEvent::kUnpossess, bit);
   }
 
   /// Changes the waiting policy attributes. Cost: one read + one write of
@@ -695,15 +682,6 @@ class ConfigurableLock {
  private:
   enum class WaitResult : std::uint8_t { kGranted, kTimedOut };
 
-  /// The arrival publisher of a lock-free contended arrival
-  /// (kRealConcurrency): the one step in which the two registration
-  /// structures differ. kStack pushes the record onto the arrival stack
-  /// with one exchange; the release module later drains it into the
-  /// scheduler module. kCell is the MCS tail swap into the lock-resident
-  /// queue cell (the cell_served() kinds), linked behind the predecessor's
-  /// inline node and never drained.
-  enum class Arrival : std::uint8_t { kStack, kCell };
-
   /// What one probe of the waiting engine tests: the waiter's own grant
   /// flag, set by the release that hands it the lock, or a TTAS claim of
   /// the state word (centralized barging, SchedulerKind::kNone).
@@ -891,7 +869,7 @@ class ConfigurableLock {
   // ------------------------------------------------ state-word layout ----
   // bit 0: the busy indicator, exactly as the paper has it.
   // bit 1 (kRealConcurrency only): "full mode". Set by any waiter that
-  // registers state only the release module can serve (an arrival-stack
+  // registers state only the release module can serve (a queue-cell
   // record, a centralized sleeper) and by guarded re-grabs of a free word
   // with such state outstanding; cleared only by the guarded free-publish
   // in grant_or_free, which runs exactly when no such state remains. While
@@ -965,22 +943,16 @@ class ConfigurableLock {
                     Nanos arrival) {
     if constexpr (kRealConcurrency<P>) {
       // Contended arrival without the meta guard: scheduled waiters publish
-      // their record lock-free (the queue cell for cell-served kinds, else
-      // the arrival stack); centralized waiters go straight to the TTAS
-      // waiting engine. The kind read is advisory - a racing
-      // reconfiguration is absorbed by the release module (drained records
-      // whose scheduler vanished park on the orphan queue, cell strays are
-      // swept). The paper's registration write and configuration read
-      // (below) are not made here: nothing reads the registry word back,
-      // and the arrival reads its policy from the attribute atomics.
-      const SchedulerKind target_kind = arrival_target_kind();
-      if (cell_served(target_kind)) {
-        return acquire_contended<Arrival::kCell>(ctx, timeout_override, t0,
-                                                 arrival);
-      }
-      if (target_kind != SchedulerKind::kNone) {
-        return acquire_contended<Arrival::kStack>(ctx, timeout_override, t0,
-                                                  arrival);
+      // their record lock-free into the queue cell; centralized waiters go
+      // straight to the TTAS waiting engine. The kind read is advisory - a
+      // racing reconfiguration is absorbed by the release module (the
+      // drain moves cell records whose kind moved on into the arrival
+      // target, or onto the orphan queue). The paper's registration write
+      // and configuration read (below) are not made here: nothing reads
+      // the registry word back, and the arrival reads its policy from the
+      // attribute atomics.
+      if (arrival_target_kind() != SchedulerKind::kNone) {
+        return acquire_contended(ctx, timeout_override, t0, arrival);
       }
       // Centralized: no registration structure to protect, so no meta at
       // all on the way in - one barging retry, then the waiting engine.
@@ -1027,11 +999,11 @@ class ConfigurableLock {
 
   /// True for the kinds served straight from the lock-resident MCS queue
   /// cell: kQueue everywhere, and on kRealConcurrency platforms kFcfs too -
-  /// both are one FIFO, so FCFS waiters tail-swap into the cell and are
-  /// popped and granted without the arrival stack, its reversal, or a
-  /// module select. The simulator keeps FcfsScheduler for kFcfs, so the
-  /// reproduction tables do not move. Two cell-served kinds serve the same
-  /// FIFO: a switch between them installs immediately.
+  /// both are one FIFO, so FCFS waiters are popped from the cell and
+  /// granted without a drain or a module select. The simulator keeps
+  /// FcfsScheduler for kFcfs, so the reproduction tables do not move. On
+  /// real platforms a cell-served module never holds a configuration
+  /// delay: see install_scheduler().
   [[nodiscard]] static constexpr bool cell_served(SchedulerKind kind) noexcept {
     return kind == SchedulerKind::kQueue ||
            (kRealConcurrency<P> && kind == SchedulerKind::kFcfs);
@@ -1074,12 +1046,10 @@ class ConfigurableLock {
   }
 
   /// Scheduled contended arrival, kRealConcurrency only: the registration
-  /// path Gamma without the meta guard. The publisher A is the only step
-  /// that differs between the arrival stack and the distributed queue
-  /// cell; either way the waiter then polls its record-local grant flag
-  /// under the configured waiting component Phi, so no shared-word
-  /// spinning follows.
-  template <Arrival A>
+  /// path Gamma without the meta guard. The record is published into the
+  /// queue cell; the waiter then polls its record-local grant flag under
+  /// the configured waiting component Phi, so no shared-word spinning
+  /// follows.
   bool acquire_contended(Ctx& ctx, Nanos timeout_override, Nanos t0,
                          Nanos arrival) {
     const LockAttributes attrs = registration_attrs(ctx, timeout_override);
@@ -1105,93 +1075,74 @@ class ConfigurableLock {
     // is waited out by the timeout resolution.
     BreakerToken breaker;
     if (deadline != kForever) breaker.arm(ctx, *this);
-    publish_arrival<A>(ctx, rec);
+    publish_arrival(ctx, rec);
 
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
             WaitResult::kGranted ||
-        resolve_timeout_lockfree<A>(ctx, rec) == WaitResult::kGranted) {
+        resolve_timeout_lockfree(ctx, rec) == WaitResult::kGranted) {
       return take_grant(ctx, /*shared=*/false, t0);
     }
     return false;
   }
 
-  /// Publishes a contended arrival's record without the meta guard, then
-  /// marks the state word full-mode. kRealConcurrency only; the async gate
-  /// publishes its coroutine waiters through here too.
-  template <Arrival A>
+  /// Publishes a contended arrival's record into the queue cell without
+  /// the meta guard, then marks the state word full-mode. kRealConcurrency
+  /// only; the async gate publishes its coroutine waiters through here
+  /// too.
   void publish_arrival(Ctx& ctx, WaiterRecord<P>& rec) {
-    if constexpr (A == Arrival::kStack) {
-      // Push: mark the link in flight, swing the head, then publish the
-      // old head as our link. A drain observing kArrivalLinkPending spins
-      // the two-instruction gap.
-      rec.arrival_next.store(kArrivalLinkPending, std::memory_order_relaxed);
-      const std::uint64_t prev = P::exchange(
-          ctx, arrivals_,
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&rec)));
-      // Registration order is fixed by the exchange: report it to the
-      // checker in the same atomic step, before the link-pending window
-      // opens.
-      note(ctx, LockEvent::kRegistered, ctx.self());
-      chk_point<P>(ctx, "arr.link");
-      rec.arrival_next.store(static_cast<std::uintptr_t>(prev),
-                             std::memory_order_release);
+    // MCS enqueue: swap ourselves in as the tail, then publish the link -
+    // through the predecessor's inline node, or through the cell's
+    // first-arrival slot when the queue was empty. A consumer that sees the
+    // tail but not yet the link waits out this two-store gap. Registration
+    // order is fixed by the swap: report it to the checker in the same
+    // atomic step, before the link window opens.
+    rec.qnext.store(nullptr, std::memory_order_relaxed);
+    chk_point<P>(ctx, "qa.swap");
+    WaiterRecord<P>* const qprev =
+        queue_cell_.tail.exchange(&rec, std::memory_order_seq_cst);
+    note(ctx, LockEvent::kRegistered, ctx.self());
+    if (qprev != nullptr) {
+      chk_point<P>(ctx, "qa.link");
+      qprev->qnext.store(&rec, std::memory_order_release);
     } else {
-      // MCS enqueue: swap ourselves in as the tail, then publish the link -
-      // through the predecessor's inline node, or through the cell's
-      // first-arrival slot when the queue was empty. A consumer that sees
-      // the tail but not yet the link waits out this two-store gap.
-      rec.qnext.store(nullptr, std::memory_order_relaxed);
-      chk_point<P>(ctx, "qa.swap");
-      WaiterRecord<P>* const qprev =
-          queue_cell_.tail.exchange(&rec, std::memory_order_seq_cst);
-      note(ctx, LockEvent::kRegistered, ctx.self());
-      if (qprev != nullptr) {
-        chk_point<P>(ctx, "qa.link");
-        qprev->qnext.store(&rec, std::memory_order_release);
-      } else {
-        chk_point<P>(ctx, "qa.first");
-        queue_cell_.first.store(&rec, std::memory_order_release);
-      }
+      chk_point<P>(ctx, "qa.first");
+      queue_cell_.first.store(&rec, std::memory_order_release);
     }
     count_arrival();
 
     // Full-mode mark + lost-release guard. The contended-bit fetch_or does
     // two jobs. (a) It disables the owner's single-CAS fast unlock while
-    // our record sits on the arrival stack, in the queue cell or in a
-    // scheduler queue - a fast unlock neither drains arrivals nor runs the
-    // release module, so without the mark a fast unlock/lock pair could
-    // strand us. Ordering matters: mark AFTER publishing, or a racing
-    // guarded free-publish (which stores 0) could erase a mark made before
-    // our record was visible. (b) It doubles as the lost-release Dekker
-    // re-check: a releaser that looked before our publish may have
-    // published the lock free and left, but our publish was an RMW and the
-    // guarded free-publish re-examines the arrival stack and the cell's
-    // tail behind a full-fence RMW, so at least one side observes the other
-    // - if we see the free state, we close the gate and run the release
-    // module ourselves.
+    // our record sits in the queue cell or in a scheduler queue - a fast
+    // unlock neither drains the cell nor runs the release module, so
+    // without the mark a fast unlock/lock pair could strand us. Ordering
+    // matters: mark AFTER publishing, or a racing guarded free-publish
+    // (which stores 0) could erase a mark made before our record was
+    // visible. (b) It doubles as the lost-release Dekker re-check: a
+    // releaser that looked before our publish may have published the lock
+    // free and left, but our tail swap was an RMW and the guarded
+    // free-publish re-examines the cell's tail with an RMW of its own, so
+    // at least one side observes the other - if we see the free state, we
+    // close the gate and run the release module ourselves.
     chk_point<P>(ctx, "arr.mark");
     if (claimed(P::fetch_or(ctx, state_, kStateContended)) &&
         claimed(P::fetch_or(ctx, state_, kStateHeld))) {
       meta_lock(ctx);
-      grant_or_free(ctx, kInvalidThread);  // registers arrivals, may grant us
+      grant_or_free(ctx, kInvalidThread);  // drains the cell, may grant us
     }
   }
 
   /// Timeout resolution of a lock-free arrival (MCS-with-timeout
-  /// self-removal). The record may still sit on the arrival stack or in
-  /// the cell (its memory is the waiter's frame): wait out any fast
-  /// release that began before the breaker was armed (it may have drained,
-  /// popped, staged or granted the record), register a stacked record by
-  /// draining under meta, then resolve the grant race and unlink the record
-  /// from wherever it lives now - a module, the cell (staged or linked),
-  /// or the orphan queue. The fast path never sets the host-side flag, so
-  /// the waiter-local grant flag is re-checked too. kGranted leaves the
-  /// waiter counted.
-  template <Arrival A>
+  /// self-removal). The record may still sit in the cell (its memory is
+  /// the waiter's frame): wait out any fast release that began before the
+  /// breaker was armed (it may have drained, popped, staged or granted the
+  /// record), then resolve the grant race and unlink the record from
+  /// wherever it lives now - a module, the cell (staged or linked), or the
+  /// orphan queue. The fast path never sets the host-side flag, so the
+  /// waiter-local grant flag is re-checked too. kGranted leaves the waiter
+  /// counted.
   WaitResult resolve_timeout_lockfree(Ctx& ctx, WaiterRecord<P>& rec) {
     meta_lock(ctx);
     wait_fast_releases(ctx);
-    if constexpr (A == Arrival::kStack) drain_arrivals(ctx);
     if (rec.granted_flag_host || P::load(ctx, rec.granted) != 0) {
       meta_unlock(ctx);
       return WaitResult::kGranted;
@@ -1210,8 +1161,7 @@ class ConfigurableLock {
                         grant_flag_placement(ctx), shared,
                         policy_may_sleep(attrs, opts_.advisory));
     rec.enqueue_time = t0;
-    rec.registered_with = &target;
-    target.enqueue(rec);
+    enlist(rec, &target);
     // Registration order is fixed by the enqueue under meta: report it to
     // the checker before any releaser can grant the record.
     note(ctx, LockEvent::kRegistered, ctx.self());
@@ -1294,70 +1244,32 @@ class ConfigurableLock {
     return false;
   }
 
-  /// Meta held. Moves every record on the lock-free arrival stack into the
-  /// module new arrivals register under (pending during a configuration
-  /// delay, else current), preserving arrival order; with no module
-  /// (reconfigured to kNone after the push) records park on the orphan
-  /// queue, which the release module serves FIFO before consulting any
-  /// scheduler.
-  void drain_arrivals(Ctx& ctx) {
-    std::uintptr_t head =
-        static_cast<std::uintptr_t>(P::exchange(ctx, arrivals_, 0));
-    if (head == 0) return;
-    // The stack is LIFO; reverse in place (reusing arrival_next) so
-    // registration happens in arrival order.
-    WaiterRecord<P>* reversed = nullptr;
-    auto* rec = reinterpret_cast<WaiterRecord<P>*>(head);
-    while (rec != nullptr) {
-      std::uintptr_t next =
-          rec->arrival_next.load(std::memory_order_acquire);
-      std::uint32_t spins = 0;
-      while (next == kArrivalLinkPending) {
-        // Producer is between its exchange and its link store; on an
-        // oversubscribed processor it may even be preempted there.
-        if (++spins > kSpinsBeforeYield) P::yield(ctx); else P::pause(ctx);
-        next = rec->arrival_next.load(std::memory_order_acquire);
-      }
-      rec->arrival_next.store(reinterpret_cast<std::uintptr_t>(reversed),
-                              std::memory_order_relaxed);
-      reversed = rec;
-      rec = reinterpret_cast<WaiterRecord<P>*>(next);
-    }
-    Scheduler<P>* target = arrival_module();
-    for (WaiterRecord<P>* w = reversed; w != nullptr;) {
-      auto* next = reinterpret_cast<WaiterRecord<P>*>(
-          w->arrival_next.load(std::memory_order_relaxed));
-      w->arrival_next.store(0, std::memory_order_relaxed);
-      enlist(*w, target);
-      w = next;
-    }
-  }
-
-  /// Meta held. Registers a drained or migrated record with `target`, or
-  /// parks it on the orphan queue when there is no module. On real
-  /// platforms a cell-served module's records live in the lock-resident
-  /// cell and name no module: a switch between cell-served kinds destroys
-  /// the façade they would name, and withdraw() finds them in the cell.
+  /// Meta held, or the module owner. Registers a drained, migrated or
+  /// meta-guarded record with `target`, or parks it on the orphan queue
+  /// when there is no module. A
+  /// cell-served module's records live in the lock-resident cell and name
+  /// no module: a reconfiguration may destroy the façade they would name,
+  /// and withdraw() finds them in the cell.
   void enlist(WaiterRecord<P>& w, Scheduler<P>* target) {
     if (target == nullptr) {
       w.registered_with = nullptr;
       orphans_.push_back(w);
       return;
     }
-    w.registered_with =
-        kRealConcurrency<P> && cell_served(target->kind()) ? nullptr : target;
+    w.registered_with = cell_served(target->kind()) ? nullptr : target;
     target->enqueue(w);
   }
 
-  // ------------------- distributed queue (kQueue) consumer side ----------
-  // kRealConcurrency only. Producers are publish_arrival<Arrival::kCell>
-  // (lock-free tail-swap) plus meta-holders enqueuing through the façade
-  // (drains, migrations) - the latter run on the consumer's own thread and
-  // open no windows. The consumer role itself is exclusive: it belongs to
-  // the state-word owner (fast releases, grant_or_free behind a claim) or
-  // to meta-holders with no fast release in flight (configuration under a
-  // quiesced epoch, timeout resolution after wait_fast_releases), and those
-  // two regimes exclude each other exactly as module ops always have.
+  // ------------------------------------------- queue cell consumer side ---
+  // Producers are publish_arrival (the lock-free tail swap, kRealConcurrency
+  // only) plus meta-holders enqueuing through the façade (the simulator's
+  // registrations, migrations) - the latter run on the consumer's own
+  // thread and open no windows. The consumer role itself is exclusive: it
+  // belongs to the state-word owner (fast releases, grant_or_free behind a
+  // claim) or to meta-holders with no fast release in flight
+  // (configuration under a quiesced epoch, timeout resolution after
+  // wait_fast_releases), and those two regimes exclude each other exactly
+  // as module ops always have.
   // Unlike the façade's non-waiting operations, these wait out producers'
   // two-store publication windows with gated spins: the producer's very
   // next platform access after linking (the arr.mark fetch_or) re-enables
@@ -1380,29 +1292,28 @@ class ConfigurableLock {
     return queue_cell_.pop(cell_await(ctx));
   }
 
-  /// Meta held, kRealConcurrency only. A thread that read a cell-served
-  /// arrival target races configure_scheduler: its tail-swap can land
-  /// after the configuration moved on, leaving records in the cell with no
-  /// cell-served module current or pending to serve them. Mirror of the
-  /// orphan-absorption rule for the arrival stack: migrate such strays
-  /// into the module new arrivals register under (or the orphan queue).
-  /// Must be - and is - a no-op while either module is cell-served;
-  /// popping then would steal linked waiters out of FIFO order.
-  void drain_queue_strays(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      if (queue_cell_.empty()) return;
-      if (cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
-        return;
-      }
-      if (has_pending_.load(std::memory_order_relaxed) &&
-          cell_served(pending_kind_.load(std::memory_order_relaxed))) {
-        return;
-      }
-      Scheduler<P>* target = arrival_module();
-      while (WaiterRecord<P>* w = queue_pop(ctx)) enlist(*w, target);
-    } else {
-      (void)ctx;
+  /// Meta held, or the module owner: the lock's one drain. When the kind
+  /// new arrivals register under is not cell-served, the cell's records
+  /// move, in arrival order, into that module - or onto the orphan queue
+  /// for kNone. On real platforms every scheduled arrival publishes into
+  /// the cell, so this is how a priority, threshold, handoff or custom
+  /// module (and a coroutine on kNone) receives its waiters. A cell-served
+  /// current module is left alone: on real platforms it never has a
+  /// pending one beside it, but the simulator keeps that delay and its
+  /// current kQueue still serves the pre-registered generation there.
+  void drain_cell(Ctx& ctx) {
+    if (cell_served(arrival_target_kind()) ||
+        cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
+      return;
     }
+    move_cell(ctx, arrival_module());
+  }
+
+  /// Meta held, or the module owner. Moves every record in the cell to
+  /// `target` (the orphan queue when null), oldest first; the paced pop
+  /// waits out in-flight links, so no linked waiter is left behind.
+  void move_cell(Ctx& ctx, Scheduler<P>* target) {
+    while (WaiterRecord<P>* w = queue_pop(ctx)) enlist(*w, target);
   }
 
   /// Meta held, fast releases waited out. Removes a timed-out record from
@@ -1415,15 +1326,12 @@ class ConfigurableLock {
       rec.registered_with = nullptr;
       return;
     }
-    if constexpr (kRealConcurrency<P>) {
-      // Cell records carry no module registration (see enlist()). The
-      // façade's non-waiting remove cannot wait out an in-flight producer
-      // link; the lock-side remover can. Not found in the cell means the
-      // orphan queue.
-      if (queue_cell_.remove(rec, cell_await(ctx))) return;
-    }
+    // Cell records carry no module registration (see enlist()). The
+    // façade's non-waiting remove cannot wait out an in-flight producer
+    // link; the lock-side remover can. Not found in the cell means the
+    // orphan queue.
+    if (queue_cell_.remove(rec, cell_await(ctx))) return;
     orphans_.remove(rec);
-    (void)ctx;
   }
 
   [[nodiscard]] Placement grant_flag_placement(Ctx& ctx) const {
@@ -1678,34 +1586,46 @@ class ConfigurableLock {
     }
   }
 
+  /// Arms one breaker: no fast release begins until the matching
+  /// disarm_breaker(). `point` names the scheduling point announcing the
+  /// arm. A disarm announces one only when given a name: destructors pass
+  /// none, because they must not throw the checker's unwind exception.
+  void arm_breaker(Ctx& ctx, const char* point) {
+    if constexpr (kRealConcurrency<P>) {
+      chk_point<P>(ctx, point);
+      quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
+      note(ctx, LockEvent::kBreakerArm);
+    } else {
+      (void)ctx;
+      (void)point;
+    }
+  }
+  void disarm_breaker(Ctx& ctx, const char* point = nullptr) {
+    if constexpr (kRealConcurrency<P>) {
+      if (point != nullptr) chk_point<P>(ctx, point);
+      quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
+      note(ctx, LockEvent::kBreakerDisarm);
+    } else {
+      (void)ctx;
+      (void)point;
+    }
+  }
+
   /// RAII configuration breaker: holds the fast path off (and waits out
   /// in-flight fast releases) so the caller may mutate scheduler modules,
   /// thresholds or attribute slots under meta.
   class QuiesceGuard {
    public:
-    QuiesceGuard(Ctx& ctx, ConfigurableLock& lock) : ctx_(&ctx), lock_(lock) {
-      if constexpr (kRealConcurrency<P>) {
-        chk_point<P>(ctx, "qg.arm");
-        lock_.quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
-        lock_.note(ctx, LockEvent::kBreakerArm);
-        lock_.wait_fast_releases(ctx);
-      } else {
-        (void)ctx;
-      }
+    QuiesceGuard(Ctx& ctx, ConfigurableLock& lock) : ctx_(ctx), lock_(lock) {
+      lock_.arm_breaker(ctx, "qg.arm");
+      lock_.wait_fast_releases(ctx);
     }
-    ~QuiesceGuard() {
-      if constexpr (kRealConcurrency<P>) {
-        // Event only, no scheduling point: destructors must not throw the
-        // checker's unwind exception.
-        lock_.quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
-        lock_.note(*ctx_, LockEvent::kBreakerDisarm);
-      }
-    }
+    ~QuiesceGuard() { lock_.disarm_breaker(ctx_); }
     QuiesceGuard(const QuiesceGuard&) = delete;
     QuiesceGuard& operator=(const QuiesceGuard&) = delete;
 
    private:
-    [[maybe_unused]] Ctx* ctx_;
+    Ctx& ctx_;
     ConfigurableLock& lock_;
   };
 
@@ -1718,33 +1638,19 @@ class ConfigurableLock {
    public:
     BreakerToken() = default;
     void arm(Ctx& ctx, ConfigurableLock& lock) {
-      if constexpr (kRealConcurrency<P>) {
-        lock_ = &lock;
-        ctx_ = &ctx;
-        chk_point<P>(ctx, "bt.arm");
-        lock.quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
-        lock.note(ctx, LockEvent::kBreakerArm);
-      } else {
-        (void)ctx;
-        (void)lock;
-      }
+      lock_ = &lock;
+      ctx_ = &ctx;
+      lock.arm_breaker(ctx, "bt.arm");
     }
     ~BreakerToken() {
-      if constexpr (kRealConcurrency<P>) {
-        if (lock_ != nullptr) {
-          // Event only, no scheduling point: destructors must not throw
-          // the checker's unwind exception.
-          lock_->quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
-          lock_->note(*ctx_, LockEvent::kBreakerDisarm);
-        }
-      }
+      if (lock_ != nullptr) lock_->disarm_breaker(*ctx_);
     }
     BreakerToken(const BreakerToken&) = delete;
     BreakerToken& operator=(const BreakerToken&) = delete;
 
    private:
     ConfigurableLock* lock_ = nullptr;
-    [[maybe_unused]] Ctx* ctx_ = nullptr;
+    Ctx* ctx_ = nullptr;
   };
 
   /// `began`: the Dekker gate was passed (the checker's fast-release window
@@ -1784,17 +1690,8 @@ class ConfigurableLock {
     }
     const bool cell_kind =
         cell_served(scheduler_kind_.load(std::memory_order_relaxed));
-    if (cell_kind) {
-      // Cell-served FIFO: the cell is the registration structure, and the
-      // arrival stack is only a reconfiguration straggler channel. A
-      // nonzero stack means a record was pushed against a prior
-      // configuration and not yet drained - the guarded path's job.
-      if (P::load(ctx, arrivals_) != 0) {
-        return release_fast_abort(ctx, /*began=*/true);
-      }
-    } else {
-      drain_arrivals(ctx);
-    }
+    // No configuration delay: the current module is the arrival target.
+    if (!cell_kind) move_cell(ctx, sched);
     chk_point<P>(ctx, "fr.select");
     WaiterRecord<P>* succ;
     if (cell_kind) {
@@ -1931,10 +1828,7 @@ class ConfigurableLock {
     };
 
     for (;;) {
-      if constexpr (kRealConcurrency<P>) {
-        drain_arrivals(ctx);
-        drain_queue_strays(ctx);
-      }
+      if constexpr (kRealConcurrency<P>) drain_cell(ctx);
       if (scheduler_ != nullptr && scheduler_->empty() &&
           has_pending_.load(std::memory_order_relaxed)) {
         install_pending(ctx);
@@ -1947,16 +1841,12 @@ class ConfigurableLock {
         orphans_.remove(*orphan);
         grant_scratch_.push_back(orphan);
       } else if (scheduler_ != nullptr) {
-        if constexpr (kRealConcurrency<P>) {
-          if (cell_served(scheduler_->kind())) {
-            // Paced pop: waits out producer link windows, so a linked
-            // waiter is never skipped (the façade's non-waiting select
-            // would report nobody and this loop would publish free).
-            if (WaiterRecord<P>* w = queue_pop(ctx)) {
-              grant_scratch_.push_back(w);
-            }
-          } else {
-            scheduler_->select(grant_scratch_, hint);
+        if (cell_served(scheduler_->kind())) {
+          // Paced pop: waits out producer link windows, so a linked
+          // waiter is never skipped (the façade's non-waiting select
+          // would report nobody and this loop would publish free).
+          if (WaiterRecord<P>* w = queue_pop(ctx)) {
+            grant_scratch_.push_back(w);
           }
         } else {
           scheduler_->select(grant_scratch_, hint);
@@ -1974,20 +1864,20 @@ class ConfigurableLock {
         });
         if constexpr (kRealConcurrency<P>) {
           // Mirror of the arrival path's lost-release guard: re-examine the
-          // arrival stack with an RMW after publishing free. A waiter whose
-          // push raced our drain either sees the free state itself or is
-          // seen here; if seen, re-close the gate and serve it. The re-grab
-          // carries the contended bit (kClaimMark): the free-publish above
-          // erased the raced waiter's mark, so if a fast-path acquirer
-          // steals the word between our store and this RMW, the bit we set
-          // here is what routes the thief's release through the full path
-          // to drain that waiter - without it a single-CAS fast unlock
-          // would strand the record on the stack. The distributed queue
-          // cell is re-examined the same way; its load is ordered after
-          // the free-publish by the arrivals RMW's full fence, which is
-          // why it sits second in the short-circuit.
-          if ((P::fetch_add(ctx, arrivals_, 0) != 0 ||
-               queue_cell_.tail.load(std::memory_order_seq_cst) != nullptr) &&
+          // cell's tail with a seq_cst RMW after publishing free. It RMWs
+          // the word an arrival's tail swap RMWs, so the two are ordered in
+          // that word's modification order: a waiter whose swap raced our
+          // drain either sees the free state itself or is seen here; if
+          // seen, re-close the gate and serve it. The re-grab carries the
+          // contended bit (kClaimMark): the free-publish above erased the
+          // raced waiter's mark, so if a fast-path acquirer steals the word
+          // between our store and this RMW, the bit we set here is what
+          // routes the thief's release through the full path to serve that
+          // waiter - without it a single-CAS fast unlock would strand the
+          // record in the cell.
+          chk_point<P>(ctx, "gf.recheck");
+          if (queue_cell_.tail.fetch_add(0, std::memory_order_seq_cst) !=
+                  nullptr &&
               claimed(P::fetch_or(ctx, state_, kClaimMark))) {
             hint = kInvalidThread;
             continue;
@@ -2102,27 +1992,31 @@ class ConfigurableLock {
     P::store(ctx, sched_rel_, code);                    // W3: release
     P::store(ctx, sched_flag_, 1);                      // W4: delay flag on
     meta_lock(ctx);
-    if constexpr (kRealConcurrency<P>) {
-      // In-flight lock-free arrivals registered before this configuration:
-      // drain them now so they land in the outgoing module and are served
-      // under the configuration-delay rule, like the seed's meta-guarded
-      // arrivals.
-      drain_arrivals(ctx);
-    }
-    if (pending_scheduler_ != nullptr) {
+    // Arrivals published before this configuration belong to the outgoing
+    // generation: drain them into the module they registered under, to be
+    // served under the configuration-delay rule.
+    drain_cell(ctx);
+    // A cell-served module never holds a configuration delay on real
+    // platforms. Towards another cell-served kind the outgoing and
+    // incoming modules serve the same FIFO, so the pre-registered waiters
+    // are served first by construction, and no record names the outgoing
+    // façade (see enlist()). Towards any other kind the pre-registered
+    // generation moves onto the orphan queue, which is served FIFO before
+    // any module's choice, so it still goes first. Deferring instead would
+    // keep the fast release off for as long as the cell never empties -
+    // under load, indefinitely. The simulator keeps the delay.
+    const bool cell_current = kRealConcurrency<P> && scheduler_ != nullptr &&
+                              cell_served(scheduler_->kind());
+    if (cell_current && !cell_served(kind)) move_cell(ctx, nullptr);
+    if (pending_scheduler_ != nullptr &&
+        !cell_served(pending_scheduler_->kind())) {
       // Stacked reconfiguration: a previous pending module was never
       // installed. Migrate its registered waiters (to the incoming module,
       // or the orphan queue when switching to kNone) instead of destroying
-      // them with it. Exception: when both the replaced pending module and
-      // the incoming one are cell-served, they drain the same lock-resident
-      // cell - the waiters are already where the incoming module serves
-      // them, and "migrating" would chase a cycle.
-      const bool both_queued =
-          cell_served(pending_scheduler_->kind()) && cell_served(kind);
-      if (!both_queued) {
-        while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
-          enlist(*w, fresh.get());
-        }
+      // them with it. A cell-served one holds none of its own: its waiters
+      // sit in the lock's cell.
+      while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
+        enlist(*w, fresh.get());
       }
     }
     pending_scheduler_ = std::move(fresh);
@@ -2131,28 +2025,16 @@ class ConfigurableLock {
     }
     pending_kind_.store(kind, std::memory_order_relaxed);
     has_pending_.store(true, std::memory_order_relaxed);
-    if constexpr (kRealConcurrency<P>) {
-      // A replaced pending cell-served module can leave records in the
-      // cell that its pop_any could not see (a producer's link was still
-      // in flight). Now that the pending kinds are final, sweep such
-      // strays into whatever module new arrivals register under. No-op
-      // while a cell-served module is still current or incoming.
-      drain_queue_strays(ctx);
-    }
+    // The waiters of a replaced cell-served pending module move into the
+    // incoming module, ahead of later registrations, unless it serves the
+    // cell too.
+    drain_cell(ctx);
     // New registrations target the incoming module from here on: a new
     // configuration generation for the fairness oracles.
     note(ctx, LockEvent::kSchedulerInstalled);
-    // No configuration delay between two cell-served kinds on real
-    // platforms: the outgoing and incoming modules serve the same FIFO, so
-    // the pre-registered waiters are served first by construction, and no
-    // record names the outgoing façade (see enlist()). Deferring instead
-    // would keep the fast release off for as long as the cell never
-    // empties - under load, indefinitely.
-    const bool immediate =
-        scheduler_ == nullptr || scheduler_->empty() ||
-        (kRealConcurrency<P> && cell_served(scheduler_->kind()) &&
-         cell_served(kind));
-    if (immediate) install_pending(ctx);                // W5: flag reset
+    if (scheduler_ == nullptr || scheduler_->empty() || cell_current) {
+      install_pending(ctx);                             // W5: flag reset
+    }
     note(ctx, LockEvent::kConfigMutateEnd);
     meta_unlock(ctx);
   }
@@ -2391,7 +2273,7 @@ class ConfigurableLock {
   static constexpr Nanos kAdviceSpinMargin = 60'000;
 
   // Real-concurrency tuning (used only when kRealConcurrency<P>).
-  /// Failed probes tolerated (grant-flag spins, pending-arrival-link waits)
+  /// Failed probes tolerated (grant-flag spins, queue-cell link waits)
   /// before escalating from PAUSE to yielding the processor.
   static constexpr std::uint32_t kSpinsBeforeYield = 64;
   /// Same, when live threads exceed processors (spinning mostly steals the
@@ -2434,10 +2316,6 @@ class ConfigurableLock {
   RegistryWord registry_;         ///< last registrant tid+1 (sim only)
   typename P::Word possess_word_; ///< attribute possession bits
   typename P::Word mailbox_;      ///< active-lock doorbell
-  /// Head of the lock-free MPSC arrival stack (WaiterRecord*, 0 = empty).
-  /// A real platform word only on kRealConcurrency platforms; elsewhere an
-  /// empty stand-in (see NoArrivalsWord).
-  ArrivalsWord arrivals_;
 
   // Waiting-policy attributes (semantic values, host side).
   std::atomic<std::uint32_t> attr_spin_{kInfiniteSpins};

@@ -1,7 +1,9 @@
 // WaiterRecord: the per-acquisition registration record (paper section 3.2:
 // "a requesting thread registers itself with the lock object"). Lives on the
-// waiting thread's stack; linked into the lock scheduler's queue under the
-// lock's meta guard.
+// waiting thread's stack. On real-concurrency platforms a contended arrival
+// tail-swaps it into the lock's queue cell without the meta guard; a
+// non-FIFO scheduler module receives it from the cell's drain. On the
+// simulator it is enqueued under the lock's meta guard.
 #pragma once
 
 #include <atomic>
@@ -14,11 +16,6 @@ namespace relock {
 
 template <Platform P>
 class Scheduler;
-
-/// Sentinel for WaiterRecord::arrival_next: the push's link store is still
-/// in flight (the drain spins the microscopic gap between the producer's
-/// exchange and its link write). 0 terminates the chain.
-inline constexpr std::uintptr_t kArrivalLinkPending = 1;
 
 template <Platform P>
 struct WaiterRecord {
@@ -42,9 +39,9 @@ struct WaiterRecord {
   // pulls this one line plus the flag's. On the native platform `granted`
   // fills the line before it (pinned by core_layout_test).
 
-  /// Inline queue node for the distributed (SchedulerKind::kQueue) FIFO:
-  /// the MCS-style successor link, written once by the *next* arrival after
-  /// its tail-swap. nullptr means "no successor visible yet" — whether the
+  /// Inline node of the lock's queue cell, which every lock-free arrival
+  /// publishes into: the MCS-style successor link, written once by the
+  /// *next* arrival after its tail-swap. nullptr means "no successor visible yet" — whether the
   /// record is last is decided by comparing against the cell's tail, so no
   /// pending sentinel is needed.
   std::atomic<WaiterRecord*> qnext{nullptr};
@@ -53,8 +50,8 @@ struct WaiterRecord {
   /// lock's meta guard). Timeout withdrawal must remove the record from the
   /// module that actually holds it — the lock may have been reconfigured
   /// (and a different module made current) while the thread waited.
-  /// nullptr while unregistered, when served from the lock's queue cell,
-  /// or when parked on the lock's orphan queue.
+  /// nullptr while the record sits in the lock's queue cell (a cell-served
+  /// module's records never leave it) or on the lock's orphan queue.
   Scheduler<P>* registered_with = nullptr;
 
   /// Grant-delivery hook: the parker abstraction for waiters that are not
@@ -81,20 +78,16 @@ struct WaiterRecord {
 
   Nanos enqueue_time = 0;
 
-  /// Lock-free arrival chain link (kRealConcurrency platforms): holds the
-  /// previous arrival-stack head as a uintptr, kArrivalLinkPending until
-  /// the producer's post-exchange store lands, 0 at the end of the chain.
-  std::atomic<std::uintptr_t> arrival_next{0};
-
   // Intrusive doubly-linked queue node, guarded by the lock's meta word.
   WaiterRecord* prev = nullptr;
   WaiterRecord* next = nullptr;
   bool queued = false;
 };
 
-/// The shared half of the distributed queue (SchedulerKind::kQueue): one
-/// tail word that arrivals swap themselves into and one publication slot
-/// for the first-in-line record. Everything else about the queue lives in
+/// The lock's one lock-free arrival structure, and the shared half of the
+/// distributed queue (SchedulerKind::kQueue): one tail word that arrivals
+/// swap themselves into and one publication slot for the first-in-line
+/// record. Everything else about the queue lives in
 /// the waiters' own records (WaiterRecord::qnext), which is what makes the
 /// scheduler "distributed" in the paper's Fig. 9 sense — a waiting thread
 /// spins only on its record-local grant flag, never on these words.
@@ -103,9 +96,9 @@ struct WaiterRecord {
 /// maintenance is consumer-side bookkeeping serialized by the lock's grant
 /// protocol (meta guard or quiescence epoch), and keeping it off the
 /// platform word set leaves the simulator's timing/placement model — and
-/// its calibrated tables — untouched. seq_cst on tail mirrors the arrival
-/// stack's Dekker: the producer's tail-swap and the releaser's emptiness
-/// re-check must not both miss each other.
+/// its calibrated tables — untouched. seq_cst on tail carries the
+/// lost-release Dekker: the producer's tail swap and the releaser's
+/// re-check (an RMW of the same word) must not both miss each other.
 ///
 /// Concurrency contract: any thread may enqueue (exchange tail, then link
 /// via the predecessor's qnext or `first` when the queue was empty); at

@@ -377,6 +377,53 @@ TEST(Async, ManyWaitersDrainInArrivalOrder) {
   lock.unlock(ctx);
 }
 
+TEST(Async, CentralizedLockGrantsCoroutinesInArrivalOrder) {
+  // kNone has no scheduler module, and a coroutine cannot barge: its
+  // record goes into the queue cell like every other arrival, and the
+  // release module drains the cell onto the orphan queue and hands off to
+  // each frame in turn.
+  constexpr int kWaiters = 64;
+  native::Domain domain;
+  native::Context ctx(domain);
+  Lock::Options o = fcfs_opts();
+  o.scheduler = SchedulerKind::kNone;
+  o.monitor_enabled = true;
+  Lock lock(domain, o);
+  ManagerExecutor<NP> mgr;
+  AsyncLock<NP> alk(lock, mgr);
+
+  lock.lock(ctx);
+  std::vector<int> order;
+  std::vector<Task> tasks;
+  tasks.reserve(kWaiters);
+  auto waiter = [&](int id) -> Task {
+    AsyncGrant<NP> g = co_await alk.lock_async(ctx);
+    EXPECT_TRUE(g.acquired());
+    order.push_back(id);
+    g.unlock();
+  };
+  for (int i = 0; i < kWaiters; ++i) tasks.push_back(waiter(i));
+  EXPECT_EQ(lock.waiter_count(), static_cast<std::uint32_t>(kWaiters));
+  lock.unlock(ctx);
+  mgr.run_until(ctx, [&] {
+    return order.size() == static_cast<std::size_t>(kWaiters);
+  });
+  for (auto& t : tasks) {
+    EXPECT_TRUE(t.done());
+    t.rethrow();
+  }
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kWaiters));
+  for (int i = 0; i < kWaiters; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "FIFO order broken";
+  }
+  // One direct grant per frame: none barged in past the orphan queue.
+  EXPECT_EQ(lock.monitor().snapshot().handoffs,
+            static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(lock.waiter_count(), 0u);
+  EXPECT_TRUE(lock.try_lock(ctx));
+  lock.unlock(ctx);
+}
+
 // Waiter accounting through the async gate: coroutine waiters publish
 // their records through the lock's arrival path and are counted out by the
 // granter, while sync threads contend with timed lock_for. A sampler must

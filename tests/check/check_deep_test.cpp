@@ -101,6 +101,10 @@ TEST(RelockCheckDeep, CellFlip2Bound3) {
   expect_exhaustive(scenarios::cell_flip2(), 3);
 }
 
+TEST(RelockCheckDeep, CellRetire2Bound3) {
+  expect_exhaustive(scenarios::cell_retire2(), 3);
+}
+
 #if RELOCK_ASYNC_ENABLED
 TEST(RelockCheckDeep, AsyncGrant2Bound3) {
   expect_exhaustive(scenarios::async_grant2(), 3);

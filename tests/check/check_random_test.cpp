@@ -50,7 +50,8 @@ class RelockCheckRandom : public ::testing::Test {
 std::uint64_t RelockCheckRandom::seed_ = 0;
 std::uint64_t RelockCheckRandom::schedules_ = 0;
 
-// Each FIFO scenario runs on kFcfs (cell-served) and on its stack twin.
+// Each FIFO scenario runs on kFcfs (cell pop) and on its stack twin (cell
+// drain + module select).
 TEST_F(RelockCheckRandom, Fanout3) {
   explore_clean(scenarios::fanout3());
   explore_clean(scenarios::fanout3(scenarios::kStackFifo));

@@ -36,16 +36,19 @@ inline std::shared_ptr<Lock> make_lock(
 }
 
 /// The FIFO kind of a stack twin. On kRealConcurrency platforms (the check
-/// platform included) kFcfs is served from the lock's MCS queue cell, like
-/// kQueue, so the kFcfs scenarios below exercise the cell. Each takes the
-/// kind as a parameter; passing kStackFifo gives the twin whose arrivals
-/// take the arrival stack, its drain and the module select instead. A
-/// priority queue at equal priority is FIFO among equals, so the twins keep
-/// the kFcfs fairness oracle.
+/// platform included) every scheduled arrival publishes into the lock's
+/// MCS queue cell, and kFcfs, like kQueue, is served straight from it, so
+/// the kFcfs scenarios below pop the cell. Each takes the kind as a
+/// parameter; passing kStackFifo gives the twin whose releases drain the
+/// cell into a scheduler module and grant through the module select
+/// instead. The twins keep the historical `stack_` name from the arrival
+/// stack that fed the module before the cell did. A priority queue at
+/// equal priority is FIFO among equals, so the twins keep the kFcfs
+/// fairness oracle.
 inline constexpr SchedulerKind kStackFifo = SchedulerKind::kPriorityQueue;
 
-/// Scenario name of a FIFO scenario: `base` on kFcfs, `stack_<base>` on
-/// the stack twin.
+/// Scenario name of a FIFO scenario: `base` on kFcfs (cell pop),
+/// `stack_<base>` on the twin (cell drain + module select).
 inline std::string fifo_name(const char* base, SchedulerKind kind) {
   return kind == SchedulerKind::kFcfs ? std::string(base)
                                       : "stack_" + std::string(base);
@@ -165,8 +168,8 @@ inline Scenario timeout2(SchedulerKind kind = SchedulerKind::kFcfs) {
 /// no sleep phase. Every waiting round must still probe once (grant flag,
 /// or a claim of the state word for kNone) and check the deadline, or the
 /// timed waiter spins on pause points forever - a livelock the step budget
-/// reports. One scenario per probe kind and arrival publisher (kFcfs and
-/// kQueue both publish into the cell; the stack twin takes the stack).
+/// reports. One scenario per probe kind and release-side consumer (kFcfs
+/// and kQueue pop the cell; the stack twin drains it into its module).
 inline Scenario degenerate2(SchedulerKind kind) {
   Scenario s;
   s.name = kind == SchedulerKind::kQueue  ? "queue_degenerate2"
@@ -195,7 +198,9 @@ inline Scenario degenerate2(SchedulerKind kind) {
 }
 
 /// A scheduler swap (FCFS -> priority queue) races a contended cycle:
-/// configuration delay, pending-module registration, generation rule.
+/// leaving a cell-served kind (a pre-registered waiter moves onto the
+/// orphan queue, the install is immediate), registration through the
+/// cell's drain into the new module, generation rule.
 inline Scenario swap2() {
   Scenario s;
   s.name = "swap2";
@@ -371,11 +376,11 @@ inline Scenario queue_staged_timeout3() {
 /// cycles. With the default middle kind (kFcfs, cell-served like kQueue)
 /// both switches are cell -> cell and install immediately: a waiter linked
 /// in the cell stays where the incoming module serves it. With a
-/// stack-served middle kind (the cell <-> stack twin) a waiter linked in
-/// the cell when the configuration moves away must be served by the queue
-/// façade under the configuration-delay rule (or swept by the stray drain
-/// if its tail-swap raced the install), and the return to kQueue must
-/// serve the stack kind's leftovers before cell arrivals.
+/// module-selected middle kind (the twin) leaving kQueue installs
+/// immediately too: a waiter linked in the cell moves onto the orphan
+/// queue and is served first (or, if its tail swap raced the install, the
+/// cell's drain hands it to the incoming module), and the return to kQueue
+/// must serve the module's leftovers before cell arrivals.
 inline Scenario queue_config2(SchedulerKind middle = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = middle == SchedulerKind::kFcfs ? "queue_config2"
@@ -451,6 +456,54 @@ inline Scenario cell_flip2() {
   return s;
 }
 
+/// kFcfs -> kPriorityQueue made by the holder inside its critical section:
+/// leaving a cell-served kind. Depending on the schedule the other
+/// thread's record is already linked in the cell (the pre-registered
+/// generation, moved onto the orphan queue and served first) or its
+/// arrival races the switch (a tail swap landing around the install,
+/// drained into the priority module). Either way the switch installs at
+/// once - a pending delay fails the schedule - and the other thread's
+/// second cycle registers through the cell's drain into the new module.
+/// Equal priorities keep the priority queue FIFO, so the FCFS oracle
+/// orders each generation and the configuration-delay oracle orders the
+/// two.
+inline Scenario cell_retire2() {
+  Scenario s;
+  s.name = "cell_retire2";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kFcfs);
+    Engine* chk = &f.engine();
+    f.add_thread(1, [lk, chk](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      CheckPlatform::yield(ctx);
+      lk->configure_scheduler(ctx, SchedulerKind::kPriorityQueue);
+      if (lk->reconfiguration_pending()) {
+        chk->fail_here(ctx, "cell_retire2: leaving a cell-served kind left "
+                            "a configuration delay pending");
+      }
+      ctx.cs_exit();
+      lk->unlock(ctx);
+      lock_cycle(lk, ctx);
+    });
+    f.add_thread(1, [lk](Context& ctx) {
+      lock_cycle(lk, ctx);
+      lock_cycle(lk, ctx);
+    });
+    f.on_finish([lk, chk] {
+      if (lk->scheduler_kind() != SchedulerKind::kPriorityQueue) {
+        chk->fail_host("cell_retire2: final scheduler must be "
+                       "kPriorityQueue");
+      }
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("cell_retire2: a record was stranded");
+      }
+    });
+  };
+  return s;
+}
+
 #ifdef RELOCK_TRACE
 /// Fissile fast acquire racing a trace enable: the fast path reads the
 /// trace gate once per operation, so the toggle may land before or after
@@ -483,7 +536,8 @@ inline Scenario fissile_trace2() {
 /// fast release). On a fissile lock that release is now a single CAS and
 /// the detour is unreachable without a breaker armed. Only the stack twin
 /// reaches the window: a cell-served fast release pops the cell and never
-/// touches the grant scratch.
+/// touches the grant scratch, while the twin's drains the cell into its
+/// module and selects through the scratch.
 inline Scenario advisory3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("advisory3", kind);

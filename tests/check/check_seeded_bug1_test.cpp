@@ -19,8 +19,8 @@
 // fissile-eligible, so they still walk the detour on every such release.
 // And its stack twin (not the kFcfs scenario) because kFcfs is served from
 // the MCS queue cell: the cell's fast release pops the cell and never
-// touches the grant scratch, so only a stack-served kind's module select
-// can overlap the late clear.
+// touches the grant scratch, so only a module-selected kind (the twin's
+// priority queue, fed by the cell's drain) can overlap the late clear.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,8 +44,8 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 TEST(RelockCheckSeededBug1, PctFindsSharedScratchAndReplays) {
-  // Seed 1 finds the race at schedule 811; seeds 2-5 all find it within
-  // 439 schedules, so the 5000-schedule budget has ample margin for
+  // Seed 1 finds the race at schedule 110; seeds 2-5 all find it within
+  // 1448 schedules, so the 5000-schedule budget has ample margin for
   // env-overridden seeds.
   const std::uint64_t seed = env_u64("RELOCK_CHECK_SEED", 1);
   const std::uint64_t budget = env_u64("RELOCK_CHECK_SCHEDULES", 5000);

@@ -30,8 +30,10 @@ void expect_exhaustive(const Scenario& s, std::uint32_t bound) {
               static_cast<unsigned long long>(r.steps));
 }
 
-// kFcfs is cell-served on the check platform; each kFcfs scenario whose
-// protocol the arrival stack also runs has a stack twin (kStackFifo).
+// Every scheduled arrival publishes into the queue cell on the check
+// platform, and kFcfs is served straight from it; each kFcfs scenario
+// whose protocol a module-selected kind also runs has a stack twin
+// (kStackFifo) covering the cell's drain and the module select.
 TEST(RelockCheckSmoke, Handoff2Exhaustive) {
   expect_exhaustive(scenarios::handoff2(), 2);
   expect_exhaustive(scenarios::handoff2(scenarios::kStackFifo), 2);
@@ -57,8 +59,9 @@ TEST(RelockCheckSmoke, Timeout2Exhaustive) {
 }
 
 TEST(RelockCheckSmoke, Degenerate2Exhaustive) {
-  // A timed waiter under (0, 0, 0, 0) on each waiting engine: arrival
-  // stack, queue cell (kFcfs and kQueue), and the centralized claim.
+  // A timed waiter under (0, 0, 0, 0) on each waiting engine: the grant
+  // flag behind the cell's drain (the twin) and its pop (kFcfs and
+  // kQueue), and the centralized claim.
   expect_exhaustive(scenarios::degenerate2(scenarios::kStackFifo), 2);
   expect_exhaustive(scenarios::degenerate2(relock::SchedulerKind::kFcfs), 2);
   expect_exhaustive(scenarios::degenerate2(relock::SchedulerKind::kQueue), 2);
@@ -100,9 +103,10 @@ TEST(RelockCheckSmoke, QueueStagedTimeout3Bound2Exhaustive) {
 
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {
   // kQueue -> kFcfs -> kQueue reconfiguration with linked waiters: two
-  // immediate cell -> cell installs. The twin goes through a stack-served
-  // kind: configuration delay, stray sweep, and FIFO across the
-  // generations.
+  // immediate cell -> cell installs. The twin goes through a
+  // module-selected kind: the immediate cell -> module install (linked
+  // waiters orphaned), the cell's drain, the module -> cell configuration
+  // delay, and FIFO across the generations.
   expect_exhaustive(scenarios::queue_config2(), 2);
   expect_exhaustive(scenarios::queue_config2(scenarios::kStackFifo), 2);
 }
@@ -111,6 +115,14 @@ TEST(RelockCheckSmoke, CellFlip2Exhaustive) {
   // kFcfs -> kQueue -> kFcfs by the holder with a waiter linked in the
   // cell: immediate install, FIFO through the switch, nothing stranded.
   expect_exhaustive(scenarios::cell_flip2(), 2);
+}
+
+TEST(RelockCheckSmoke, CellRetire2Exhaustive) {
+  // kFcfs -> kPriorityQueue by the holder with a waiter linked in the cell
+  // or racing the switch: the pre-registered generation moves onto the
+  // orphan queue, the install is immediate, and later arrivals reach the
+  // priority module through the cell's drain.
+  expect_exhaustive(scenarios::cell_retire2(), 2);
 }
 
 TEST(RelockCheckSmoke, EngineTick2Exhaustive) {

@@ -1,7 +1,7 @@
 // Multithreaded stress of the contended slow path on NativePlatform: real
 // threads hammer lock/unlock while reconfiguration threads flip the
 // scheduler module and waiting policy underneath them. Exercises the
-// lock-free arrival stack (push vs. drain vs. lost-release recheck), the
+// lock-free queue cell (tail swap vs. drain vs. lost-release recheck), the
 // orphan queue (kNone reconfiguration races), per-thread attribute
 // overrides, and conditional acquisition timeouts - the oracle throughout
 // is mutual exclusion plus ops conservation - and waiter accounting on
@@ -167,7 +167,7 @@ TEST(ContentionStress, PerThreadAttributeChurn) {
 
 // Conditional acquisitions racing grants: every lock_for either times out
 // or enters the critical section; timed-out waiters must be withdrawn
-// cleanly (no dangling arrival-stack or queue entries once threads exit).
+// cleanly (no dangling queue-cell or module entries once threads exit).
 TEST(ContentionStress, TimeoutsRaceGrants) {
   native::Domain dom(64);
   Lock lock(dom, {.scheduler = SchedulerKind::kFcfs});
@@ -216,8 +216,10 @@ TEST(ContentionStress, TimeoutsRaceGrants) {
 
 // Waiter accounting: waiter_count() is arrivals minus departures, two
 // monotone counters bumped on different cores. Over a storm on one arrival
-// path - the queue cell (kFcfs, kQueue), the arrival stack
-// (kPriorityQueue), the meta-guarded reader-writer registration, the
+// path - the queue cell popped (kFcfs, kQueue), the queue cell drained
+// into a module (kPriorityQueue; its case keeps the name "Stack" from the
+// arrival stack that path replaced), the meta-guarded reader-writer
+// registration, the
 // barging claim (kNone) - with every fourth acquisition a short lock_for
 // (the timeout withdrawal path), a sampler must never read more waiters
 // than there are threads (a wrapped or drifting counter would), and the

@@ -3,7 +3,7 @@
 // line the releaser writes that an arriving waiter also writes bounces
 // between their cores on each handoff. The rule pinned here: no word that
 // arrivals write (the state word's contended mark, the queue cell's tail
-// swap, the arrival stack's exchange, the waiter count) shares a 64-byte
+// swap, the waiter count) shares a 64-byte
 // line with the state-word owner's release state. The waiter record gets
 // the same treatment from the other side: every field a releaser touches
 // when it grants a record sits on one line, apart from the grant flag the
@@ -48,7 +48,6 @@ struct LockLayoutProbe {
   /// Words written by arriving waiters.
   static std::vector<Span> arrival_written(const Lock& lk) {
     return {span("state_", lk.state_), span("queue_cell_", lk.queue_cell_),
-            span("arrivals_", lk.arrivals_),
             span("waiters_arrived_", lk.waiters_arrived_)};
   }
 

@@ -583,6 +583,43 @@ TEST(Reconfigure, ConfigurationDelayServesPreRegisteredThreadsFirst) {
   EXPECT_EQ(lock.scheduler_kind(), SchedulerKind::kPriorityQueue);
 }
 
+TEST(Reconfigure, TimeoutAfterPendingQueueModuleIsReplaced) {
+  // A timed waiter registers with a pending kQueue module, which a second
+  // configure_scheduler(kQueue) replaces (and destroys) before the waiter
+  // times out. Its record sits in the lock's queue cell and names no
+  // module, so the withdrawal must find it there rather than in the
+  // destroyed one.
+  Machine m(MachineParams::test_machine(3));
+  Lock lock(m, with_scheduler(SchedulerKind::kFcfs));
+  bool a_granted = false, b_got = true;
+  m.spawn(0, [&](Thread& t) {
+    ASSERT_TRUE(lock.lock(t));
+    m.compute(t, 50'000);  // waiter A queues with the FCFS module
+    lock.configure_scheduler(t, SchedulerKind::kQueue);
+    EXPECT_TRUE(lock.reconfiguration_pending());
+    m.compute(t, 50'000);  // waiter B registers with the pending kQueue
+    lock.configure_scheduler(t, SchedulerKind::kQueue);
+    m.compute(t, 400'000);  // B times out
+    lock.unlock(t);
+  });
+  m.spawn(1, [&](Thread& t) {
+    m.compute(t, 5'000);
+    ASSERT_TRUE(lock.lock(t));
+    a_granted = true;
+    lock.unlock(t);
+  });
+  m.spawn(2, [&](Thread& t) {
+    m.compute(t, 80'000);
+    b_got = lock.lock_for(t, 100'000);
+  });
+  m.run();
+  EXPECT_FALSE(b_got);
+  EXPECT_TRUE(a_granted);
+  EXPECT_EQ(lock.waiter_count(), 0u);
+  EXPECT_FALSE(lock.reconfiguration_pending());
+  EXPECT_EQ(lock.scheduler_kind(), SchedulerKind::kQueue);
+}
+
 TEST(Reconfigure, PossessIsExclusive) {
   Machine m(MachineParams::test_machine(2));
   Lock lock(m, with_scheduler(SchedulerKind::kFcfs));

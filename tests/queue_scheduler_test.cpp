@@ -587,6 +587,56 @@ TEST(QueueScheduler, ReconfigureToAndFromQueueUnderLoad) {
   lk.unlock(ctx);
 }
 
+// Leaving a cell-served kind installs the incoming kind at once: the
+// waiters already in the cell are the pre-registered generation, served
+// first in arrival order off the orphan queue, and later arrivals reach
+// the incoming kind through the cell's drain. Returns the grant order:
+// pre-registered waiters by arrival index 0..2, later ones by priority.
+std::vector<int> grants_after_leaving_the_cell(SchedulerKind to) {
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kFcfs));
+  native::Context ctx(dom);
+  lk.lock(ctx);
+  std::vector<int> order;  // guarded by lk itself
+  std::vector<std::thread> team;
+  const auto arrive = [&](int id, Priority prio) {
+    const std::uint32_t before = lk.waiter_count();
+    team.emplace_back([&, id, prio] {
+      native::Context tctx(dom, prio);
+      lk.lock(tctx);
+      order.push_back(id);
+      lk.unlock(tctx);
+    });
+    await([&] { return lk.waiter_count() > before; }, true);
+  };
+  for (int i = 0; i < 3; ++i) arrive(i, 1);
+  lk.configure_scheduler(ctx, to);
+  EXPECT_FALSE(lk.reconfiguration_pending());
+  EXPECT_EQ(lk.scheduler_kind(), to);
+  arrive(9, 9);
+  arrive(5, 5);
+  lk.unlock(ctx);
+  for (auto& t : team) t.join();
+  EXPECT_EQ(lk.waiter_count(), 0u);
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+  return order;
+}
+
+TEST(QueueScheduler, LeavingTheCellForPriorityServesPreRegisteredFirst) {
+  EXPECT_EQ(grants_after_leaving_the_cell(SchedulerKind::kPriorityQueue),
+            (std::vector<int>{0, 1, 2, 9, 5}));
+}
+
+TEST(QueueScheduler, LeavingTheCellForNoneServesPreRegisteredFirst) {
+  // kNone barges: the later two take the freed word in either order.
+  const std::vector<int> order =
+      grants_after_leaving_the_cell(SchedulerKind::kNone);
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(std::vector<int>(order.begin(), order.begin() + 3),
+            (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(order[3] + order[4], 9 + 5);
+}
+
 TEST(QueueScheduler, TimeoutsRacingReconfiguration) {
   // Conditional waiters (short timeouts) racing kind flips: a record that
   // registered against kQueue may be migrated into a centralized module
