@@ -70,17 +70,9 @@ struct AsyncGate {
   /// the frame itself. RW waiters arm no breaker: RW locks never take the
   /// fast-release path, so there is no epoch to break.
   static bool enqueue_rw(Ctx& ctx, Lock& lk, Rec& rec, bool shared) {
+    const Nanos t0 = P::now(ctx);
     lk.meta_lock(ctx);
-    if (lk.rw_can_enter(shared)) {
-      lk.rw_enter(ctx, shared);
-      lk.meta_unlock(ctx);
-      if (shared) {
-        lk.monitor_.on_shared_acquire();
-      } else {
-        lk.on_acquired_exclusive(ctx, /*contended=*/false, P::now(ctx));
-      }
-      return true;
-    }
+    if (lk.rw_enter_at_once(ctx, shared, t0)) return true;
     lk.enlist(rec, lk.arrival_module());
     lk.count_arrival();
     lk.meta_unlock(ctx);
@@ -105,7 +97,12 @@ struct AsyncGate {
   /// of the sync granted path. t0 is 0 - async waits carry no wait-time
   /// sample (the frame was not running to take one).
   static void complete(Ctx& ctx, Lock& lk, bool shared) {
-    (void)lk.take_grant(ctx, shared, /*t0=*/0);
+    using Hold = typename Lock::Hold;
+    if (shared) {
+      lk.template begin_hold<Hold::kSharedGrant>(ctx, /*t0=*/0);
+    } else {
+      lk.template begin_hold<Hold::kGrant>(ctx, /*t0=*/0);
+    }
   }
 };
 

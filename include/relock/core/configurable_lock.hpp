@@ -61,6 +61,14 @@
 // nothing is cached outside a queue and nothing can go stale. See
 // DESIGN.md "The configuration-quiescence epoch".
 //
+// One release path: both unlocks check only their arguments and enter
+// end_hold(), which ends the hold (the monitor's hold-time pair), tries
+// the fissile CAS below, posts to a serving active manager, tries the
+// single-store fast release and otherwise runs the guarded release
+// module. The fast and the guarded release share one successor pick
+// (pick_successor) and one exclusive grant publication
+// (grant_exclusive); every hold begins in begin_hold().
+//
 // The fissile fast path (kRealConcurrency): on top of all of the above the
 // state word carries a second bit - kStateContended, "full mode". While it
 // is clear the lock is in *fast mode*: no waiter is registered anywhere the
@@ -82,7 +90,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
@@ -243,21 +250,9 @@ class ConfigurableLock {
       ++recursion_depth_;
       return true;
     }
-    if (claimed(P::fetch_or(ctx, state_, kStateHeld))) {
-      if constexpr (kRealConcurrency<P>) {
-        const Nanos t0 =
-            monitor_.enabled() && monitor_.timing_sample() ? P::now(ctx) : 0;
-        if (fast_eligible_) {
-          on_acquired_fast(ctx, t0);
-        } else {
-          on_acquired_exclusive(ctx, /*contended=*/false, t0);
-        }
-      } else {
-        on_acquired_exclusive(ctx, /*contended=*/false, P::now(ctx));
-      }
-      return true;
-    }
-    return false;
+    if (!claimed(P::fetch_or(ctx, state_, kStateHeld))) return false;
+    begin_hold<Hold::kClaim>(ctx, timing_stamp(ctx));
+    return true;
   }
 
   /// Shared (reader) acquisition; requires a reader-writer configuration.
@@ -285,50 +280,14 @@ class ConfigurableLock {
       --recursion_depth_;
       return;
     }
-    note_trace(ctx, LockEvent::kRelease, ctx.self());
-    if constexpr (kRealConcurrency<P>) {
-      // Clock elision: the hold-time pair feeds only the monitor, so with
-      // the monitor off the release path makes no clock read at all. With
-      // it on, only acquisitions that drew a timing sample (acquire_time_
-      // nonzero) pay the read here; the rest just count the release.
-      if (monitor_.enabled()) {
-        if (acquire_time_ != 0) {
-          monitor_.on_release(P::now(ctx) - acquire_time_);
-        } else {
-          monitor_.on_release();
-        }
-      }
-      if (fast_eligible_) {
-        // Fissile fast unlock: in fast mode (contended bit clear) no
-        // waiter state exists for the release module to serve, so one CAS
-        // of held->free is the whole release. The CAS (not a plain store)
-        // is what makes this sound: a waiter's mark landing first makes it
-        // fail, and we fall through to the full paths below. A
-        // fast-eligible lock is passive by definition, so no active
-        // manager is bypassed here. A hold that began with a grant
-        // skips the CAS: the contended bit was set when it was granted and
-        // only this owner's own guarded free-publish clears it, so the CAS
-        // would fail - a wasted RMW on the line arrivals are marking. (A
-        // load of the state word before the CAS would catch the same case,
-        // but puts a load on the uncontended path's critical path.)
-        chk_point<P>(ctx, "fu.cas");
-        if (!full_mode_hold_ && P::cas(ctx, state_, kStateHeld, 0)) {
-          note(ctx, LockEvent::kReleaseFree);
-          return;
-        }
-      }
-    } else {
-      monitor_.on_release(P::now(ctx) - acquire_time_);
-    }
-    run_release_module(ctx, hint, /*shared=*/false);
+    end_hold(ctx, hint, /*shared=*/false);
   }
 
   void unlock_shared(Ctx& ctx) {
     if (!rw_capable()) {
       misuse("unlock_shared on a lock without a reader-writer scheduler");
     }
-    note_trace(ctx, LockEvent::kRelease, ctx.self());
-    run_release_module(ctx, kInvalidThread, /*shared=*/true);
+    end_hold(ctx, kInvalidThread, /*shared=*/true);
   }
 
   // =================================================================
@@ -453,15 +412,9 @@ class ConfigurableLock {
                      static_cast<std::int64_t>(threshold)));
     note(ctx, LockEvent::kConfigMutateEnd);
     monitor_.on_reconfiguration(/*scheduler_change=*/false);
-    if (!held_locked() && scheduler_ != nullptr && !scheduler_->empty()) {
-      // Lock is free with waiters that may have just become eligible. The
-      // claim carries the contended bit (kClaimMark): a direct handoff may
-      // follow, and the grantee's release must see full mode while the
-      // remaining waiters stay queued.
-      if (claimed(P::fetch_or(ctx, state_, kClaimMark))) {
-        grant_or_free(ctx, kInvalidThread);  // releases meta
-        return;
-      }
+    if (scheduler_ != nullptr && !scheduler_->empty()) {
+      serve_if_free(ctx);  // waiters may have just become eligible
+      return;
     }
     meta_unlock(ctx);
   }
@@ -584,9 +537,8 @@ class ConfigurableLock {
         drain_releases(ctx);
         break;
       }
-      // Only touch the (atomically guarded) request queue when the doorbell
-      // rang: an idle manager re-acquiring meta in a loop would saturate the
-      // lock's home memory module and starve releasing threads.
+      // An idle manager polls the mailbox word alone; the shared-release
+      // count is read only once the doorbell rang.
       const std::uint64_t box = P::load(ctx, mailbox_);
       if (box != 0) {
         P::store(ctx, mailbox_, 0);
@@ -687,10 +639,15 @@ class ConfigurableLock {
   /// the state word (centralized barging, SchedulerKind::kNone).
   enum class Probe : std::uint8_t { kGrantFlag, kClaim };
 
-  struct ReleaseRequest {
-    ThreadId hint;
-    bool shared;
-    Nanos hold_started;
+  /// How a hold began (begin_hold()): a claim of the free word, at once or
+  /// after entering the wait path (the guarded re-check, barging), a
+  /// release's grant, or a reader's entry - at once or granted in a batch.
+  enum class Hold : std::uint8_t {
+    kClaim,
+    kContendedClaim,
+    kGrant,
+    kSharedEntry,
+    kSharedGrant,
   };
 
   [[nodiscard]] bool rw_capable() const noexcept {
@@ -905,38 +862,35 @@ class ConfigurableLock {
       ++recursion_depth_;
       return true;
     }
-    Nanos t0;
-    Nanos arrival = 0;
+    const Nanos t0 = timing_stamp(ctx);
+    Nanos arrival = t0;
     if constexpr (kRealConcurrency<P>) {
-      // Clock elision: the timestamp feeds only monitor statistics and
-      // timeout deadlines. With the monitor off - or for operations outside
-      // the 1-in-N timing sample - skip the read; a timeout waiter re-reads
-      // the clock lazily (0 marks "not taken").
-      t0 = monitor_.enabled() && monitor_.timing_sample() ? P::now(ctx) : 0;
       // An explicit lock_for() deadline is anchored HERE, at arrival. With
       // the monitor off, t0 is elided and the lazy re-read used to happen
       // only inside the slow path - after the failed fast-path RMW and the
       // registration stores - silently extending the timeout by the time
       // spent getting there.
-      if (timeout_override != 0) arrival = t0 != 0 ? t0 : P::now(ctx);
-    } else {
-      t0 = P::now(ctx);
-      arrival = t0;
+      if (timeout_override != 0 && t0 == 0) arrival = P::now(ctx);
     }
-    // Fast path: one RMW, like a primitive spin lock (paper Table 2). For
-    // fast-eligible locks the claim is the whole acquisition: no owner
-    // registration, and one monitor-enabled load gates the bookkeeping.
+    // Fast path: one RMW, like a primitive spin lock (paper Table 2).
     if (claimed(P::fetch_or(ctx, state_, kStateHeld))) {
-      if constexpr (kRealConcurrency<P>) {
-        if (fast_eligible_) {
-          on_acquired_fast(ctx, t0);
-          return true;
-        }
-      }
-      on_acquired_exclusive(ctx, /*contended=*/false, t0);
+      begin_hold<Hold::kClaim>(ctx, t0);
       return true;
     }
     return acquire_slow(ctx, /*shared=*/false, timeout_override, t0, arrival);
+  }
+
+  /// The acquisition's timestamp. Clock elision on real platforms: the
+  /// timestamp feeds only monitor statistics and timeout deadlines, so
+  /// with the monitor off - or for operations outside the 1-in-N timing
+  /// sample - the read is skipped (0 marks "not taken"); a timeout waiter
+  /// re-reads the clock lazily.
+  [[nodiscard]] Nanos timing_stamp(Ctx& ctx) {
+    if constexpr (kRealConcurrency<P>) {
+      return monitor_.enabled() && monitor_.timing_sample() ? P::now(ctx) : 0;
+    } else {
+      return P::now(ctx);
+    }
   }
 
   bool acquire_slow(Ctx& ctx, bool shared, Nanos timeout_override, Nanos t0,
@@ -959,7 +913,7 @@ class ConfigurableLock {
       const LockAttributes attrs = registration_attrs(ctx, timeout_override);
       const Nanos deadline = arrival_deadline(ctx, attrs, t0, arrival);
       if (claimed(P::fetch_or(ctx, state_, kStateHeld))) {
-        on_acquired_exclusive(ctx, /*contended=*/true, t0);
+        begin_hold<Hold::kContendedClaim>(ctx, t0);
         return true;
       }
       return wait_barging(ctx, attrs, deadline, t0);
@@ -976,7 +930,7 @@ class ConfigurableLock {
       if (!shared && claimed(P::fetch_or(ctx, state_, kStateHeld))) {
         holders_ = 1;
         meta_unlock(ctx);
-        on_acquired_exclusive(ctx, /*contended=*/true, t0);
+        begin_hold<Hold::kContendedClaim>(ctx, t0);
         return true;
       }
       if (Scheduler<P>* target = arrival_module()) {
@@ -1080,7 +1034,8 @@ class ConfigurableLock {
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
             WaitResult::kGranted ||
         resolve_timeout_lockfree(ctx, rec) == WaitResult::kGranted) {
-      return take_grant(ctx, /*shared=*/false, t0);
+      begin_hold<Hold::kGrant>(ctx, t0);
+      return true;
     }
     return false;
   }
@@ -1171,7 +1126,12 @@ class ConfigurableLock {
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
             WaitResult::kGranted ||
         resolve_timeout_guarded(ctx, rec) == WaitResult::kGranted) {
-      return take_grant(ctx, shared, t0);
+      if (shared) {
+        begin_hold<Hold::kSharedGrant>(ctx, t0);
+      } else {
+        begin_hold<Hold::kGrant>(ctx, t0);
+      }
+      return true;
     }
     return false;
   }
@@ -1189,20 +1149,21 @@ class ConfigurableLock {
     return timed_out(ctx, rec);
   }
 
-  /// Meta held, record withdrawn: the timeout wins.
+  /// Meta held, record withdrawn: the timeout wins. Releases meta. A
+  /// withdrawal that empties the current module during a configuration
+  /// delay completes the delay: the incoming module's waiters are served
+  /// now if the lock is free, else by the holder's release.
   WaitResult timed_out(Ctx& ctx, const WaiterRecord<P>& rec) {
     note(ctx, LockEvent::kTimeoutReturn, rec.tid);
-    meta_unlock(ctx);
     count_departures(1);
     monitor_.on_timeout();
+    if (has_pending_.load(std::memory_order_relaxed) &&
+        scheduler_ != nullptr && scheduler_->empty()) {
+      serve_if_free(ctx);
+    } else {
+      meta_unlock(ctx);
+    }
     return WaitResult::kTimedOut;
-  }
-
-  /// A registered waiter was granted the lock and becomes the owner. Its
-  /// departure was counted by the granter.
-  bool take_grant(Ctx& ctx, bool shared, Nanos t0) {
-    on_granted(ctx, shared, t0);
-    return true;
   }
 
   // Waiter accounting (waiter_count()): two monotone counters, each on a
@@ -1237,7 +1198,7 @@ class ConfigurableLock {
       r = wait<Probe::kClaim>(ctx, rec, attrs, deadline);
     }
     if (r == WaitResult::kGranted) {
-      on_acquired_exclusive(ctx, /*contended=*/true, t0);
+      begin_hold<Hold::kContendedClaim>(ctx, t0);
       return true;
     }
     monitor_.on_timeout();
@@ -1662,14 +1623,14 @@ class ConfigurableLock {
     return false;
   }
 
-  /// The single-store contended release. Returns false (having touched
-  /// nothing but the in-flight count) to route the release through the
-  /// guarded path. Exclusivity argument: only the state-word owner runs a
-  /// release module, and this path never publishes the word free, so fast
-  /// releases are serialized by ownership handoff itself; the Dekker gate
-  /// below excludes them from configuration operations.
+  /// The single-store contended release: the release module run by the
+  /// state-word owner without the meta guard. Returns false (having
+  /// touched nothing but the in-flight count) to route the release through
+  /// the guarded path. Exclusivity argument: only the state-word owner runs
+  /// a release module, and this path never publishes the word free, so
+  /// fast releases are serialized by ownership handoff itself; the Dekker
+  /// gate below excludes them from configuration operations.
   [[nodiscard]] bool release_fast(Ctx& ctx, ThreadId hint) {
-    if (opts_.execution != Execution::kPassive || rw_capable()) return false;
     chk_point<P>(ctx, "fr.enter");
     fast_releases_inflight_.fetch_add(1, std::memory_order_seq_cst);
     chk_point<P>(ctx, "fr.gate");
@@ -1680,55 +1641,29 @@ class ConfigurableLock {
     // drops; we own the modules by holding the state word.
     note(ctx, LockEvent::kFastReleaseBegin);
     chk_point<P>(ctx, "fr.mod");
-    Scheduler<P>* const sched = scheduler_.get();
     // The guarded path's cases: no module (kNone frees the word and wakes
     // sleepers), a configuration delay to complete, or orphans to serve
     // before any module's choice.
-    if (sched == nullptr || has_pending_.load(std::memory_order_relaxed) ||
+    if (scheduler_ == nullptr || has_pending_.load(std::memory_order_relaxed) ||
         !orphans_.empty()) {
       return release_fast_abort(ctx, /*began=*/true);
     }
-    const bool cell_kind =
-        cell_served(scheduler_kind_.load(std::memory_order_relaxed));
-    // No configuration delay: the current module is the arrival target.
-    if (!cell_kind) move_cell(ctx, sched);
+    drain_cell(ctx);  // no delay: the current module is the arrival target
     chk_point<P>(ctx, "fr.select");
-    WaiterRecord<P>* succ;
-    if (cell_kind) {
-      // O(1): the record the previous pop staged; the pop stages the next.
-      succ = queue_pop(ctx);
-    } else {
-      grant_scratch_.clear();
-      sched->select(grant_scratch_, hint);
-      succ = grant_scratch_.empty() ? nullptr : grant_scratch_.front();
-      grant_scratch_.clear();
-    }
+    WaiterRecord<P>* const succ = pick_successor(ctx, hint);
     if (succ == nullptr) {
       // Nobody eligible: publishing the word free (and waking barging
       // sleepers) is the guarded path's job.
       return release_fast_abort(ctx, /*began=*/true);
     }
-    unregister(*succ);
-    // Every module mutation is complete. Publish ownership: mirrors first,
-    // the grant-flag store last - the one store the new owner's critical
-    // section is ordered after. The epilogue below the store touches only
-    // the in-flight count (hence a counter, not a flag: it may overlap the
-    // new owner's own fast release) and, after retiring it, the coroutine
-    // grant-hook delivery.
     chk_point<P>(ctx, "fr.publish");
-    holders_ = 1;
-    const ThreadId tid = succ->tid;
-    const bool may_sleep = succ->may_sleep;
-    const typename WaiterRecord<P>::GrantHook hook = succ->grant_hook;
-    void* const hook_arg = succ->grant_hook_arg;
-    store_owner(ctx, static_cast<std::uint64_t>(tid) + 1);
-    monitor_.on_handoff();
-    count_departures(1);
-    P::store(ctx, succ->granted, 1);
-    note(ctx, LockEvent::kGranted, tid);
-    if (may_sleep) {
+    const Grantee g = grant_exclusive(ctx, *succ, /*under_meta=*/false);
+    // The epilogue touches only the in-flight count (hence a counter, not
+    // a flag: it may overlap the new owner's own fast release) and, after
+    // retiring it, the coroutine grant-hook delivery.
+    if (g.may_sleep) {
       monitor_.on_wakeup();
-      P::unblock(ctx, tid);
+      P::unblock(ctx, g.tid);
     }
     chk_point<P>(ctx, "fr.retire");
     fast_releases_inflight_.fetch_sub(1, std::memory_order_seq_cst);
@@ -1743,7 +1678,7 @@ class ConfigurableLock {
     // bit) blocks on meta while the meta holder spins on the in-flight
     // count. The hook is the last touch of the record - the resumed frame
     // owns it.
-    if (hook != nullptr) hook(hook_arg, ctx);
+    if (g.hook != nullptr) g.hook(g.hook_arg, ctx);
     // Oversubscribed processor: give the grantee a chance to run now
     // rather than after our quantum expires re-contending the lock.
     if (P::oversubscribed(ctx)) P::yield(ctx);
@@ -1752,18 +1687,56 @@ class ConfigurableLock {
 
   // -------------------------------------------------------- release ------
 
-  /// The one entry both unlocks reach once the releaser's own bookkeeping
-  /// is done: an active lock's serving manager runs the release module on
-  /// the releaser's behalf; otherwise the single-store fast release is
-  /// tried on real platforms (it declines shared releases: RW locks never
-  /// take it), and the guarded release does the rest.
-  void run_release_module(Ctx& ctx, ThreadId hint, bool shared) {
+  /// The one release entry; both unlocks reach it once their argument
+  /// checks pass. In order: the hold ends (the monitor's hold-time pair,
+  /// exclusive releases only); a fast-eligible hold tries the fissile
+  /// held->free CAS; an active lock's serving manager is posted the
+  /// release; real platforms try the single-store fast release (passive
+  /// exclusive locks only); the guarded release does the rest.
+  [[gnu::always_inline]] void end_hold(Ctx& ctx, ThreadId hint,
+                                       bool shared) {
+    note_trace(ctx, LockEvent::kRelease, ctx.self());
+    if (!shared) {
+      // Clock elision: the hold-time pair feeds only the monitor, so with
+      // the monitor off the release makes no clock read at all. With it
+      // on, a real-platform hold that drew no timing sample (acquire_time_
+      // zero) just counts the release.
+      if (monitor_.enabled()) {
+        if (!kRealConcurrency<P> || acquire_time_ != 0) {
+          monitor_.on_release(P::now(ctx) - acquire_time_);
+        } else {
+          monitor_.on_release();
+        }
+      }
+      if (fast_eligible_) {
+        // Fissile fast unlock: in fast mode (contended bit clear) no
+        // waiter state exists for the release module to serve, so one CAS
+        // of held->free is the whole release. The CAS (not a plain store)
+        // is what makes this sound: a waiter's mark landing first makes it
+        // fail, and we fall through to the full paths below. A
+        // fast-eligible lock is passive by definition, so no active
+        // manager is bypassed here. A hold that began with a grant
+        // skips the CAS: the contended bit was set when it was granted and
+        // only this owner's own guarded free-publish clears it, so the CAS
+        // would fail - a wasted RMW on the line arrivals are marking. (A
+        // load of the state word before the CAS would catch the same case,
+        // but puts a load on the uncontended path's critical path.)
+        chk_point<P>(ctx, "fu.cas");
+        if (!full_mode_hold_ && P::cas(ctx, state_, kStateHeld, 0)) {
+          note(ctx, LockEvent::kReleaseFree);
+          return;
+        }
+      }
+    }
     if (opts_.execution == Execution::kActive && serving_.load()) {
       post_release(ctx, hint, shared);
       return;
     }
     if constexpr (kRealConcurrency<P>) {
-      if (release_fast(ctx, hint)) return;
+      if (opts_.execution == Execution::kPassive && !rw_capable() &&
+          release_fast(ctx, hint)) {
+        return;
+      }
     }
     release(ctx, hint, shared);
   }
@@ -1789,10 +1762,92 @@ class ConfigurableLock {
     grant_or_free(ctx, hint);  // releases meta
   }
 
-  /// Runs the release module: drains lock-free arrivals, installs a pending
-  /// scheduler if the old one has drained, selects the next grant batch,
-  /// and either hands the lock off or publishes it as free. Expects meta
-  /// held; releases it.
+  /// Meta held; releases it. Runs the release module for a lock whose
+  /// waiters a configuration or a withdrawal may have made servable. If
+  /// the lock is free, the claim makes this thread the module owner; it
+  /// carries the contended bit (kClaimMark): a direct handoff may follow,
+  /// and the grantee's release must see full mode while the remaining
+  /// waiters stay queued. A holder serves them at its own release: the
+  /// mark, or the full-mode hold of a granted holder, routes that release
+  /// through the release module.
+  void serve_if_free(Ctx& ctx) {
+    if (!held_locked() && claimed(P::fetch_or(ctx, state_, kClaimMark))) {
+      grant_or_free(ctx, kInvalidThread);  // releases meta
+      return;
+    }
+    meta_unlock(ctx);
+  }
+
+  /// The module owner's successor pick (meta held, or a fast release in a
+  /// quiesced epoch; a current module exists): a cell pop for the
+  /// cell-served kinds - the paced pop waits out producers' link windows,
+  /// so a linked waiter is never skipped - else the module's select into
+  /// the grant scratch. Returns the first grantee, or null when nobody is
+  /// eligible. An exclusive pick leaves the scratch empty: the new owner
+  /// may run a fast release - which selects into the scratch without
+  /// meta - the instant its grant lands. A reader batch stays in the
+  /// scratch for the guarded path to grant (RW locks never release fast).
+  [[nodiscard, gnu::always_inline]] WaiterRecord<P>* pick_successor(
+      Ctx& ctx, ThreadId hint) {
+    if (cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
+      return queue_pop(ctx);
+    }
+    grant_scratch_.clear();
+    scheduler_->select(grant_scratch_, hint);
+    if (grant_scratch_.empty()) return nullptr;
+    WaiterRecord<P>* const first = grant_scratch_.front();
+    assert(first->shared || grant_scratch_.size() == 1);
+#ifndef RELOCK_CHECK_SEEDED_BUG_1
+    if (!first->shared) grant_scratch_.clear();
+#endif
+    return first;
+  }
+
+  /// The fields of a grantee its granter still needs after the grant
+  /// store, read before it: from that store on the record (on the
+  /// waiter's stack, or in a suspended coroutine frame) may be gone.
+  struct Grantee {
+    ThreadId tid = kInvalidThread;
+    bool may_sleep = false;
+    typename WaiterRecord<P>::GrantHook hook = nullptr;
+    void* hook_arg = nullptr;
+  };
+
+  /// The one exclusive grant publication, used by the fast release and the
+  /// guarded release module alike once every module mutation is complete:
+  /// the mirrors and counts first, the grant-flag store last - the one
+  /// store the new owner's critical section is ordered after. `under_meta`
+  /// says which path calls: a meta holder also sets the host-side flag
+  /// that meta-guarded timeout resolution reads; the fast release leaves
+  /// it alone, so the grantee's handoff line stays clean (lock-free
+  /// timeout resolution re-checks the grant flag instead).
+  [[gnu::always_inline]] Grantee grant_exclusive(Ctx& ctx,
+                                                 WaiterRecord<P>& w,
+                                                 bool under_meta) {
+    unregister(w);
+    if (under_meta) w.granted_flag_host = true;
+    const Grantee g{w.tid, w.may_sleep, w.grant_hook, w.grant_hook_arg};
+    holders_ = 1;
+    store_owner(ctx, static_cast<std::uint64_t>(g.tid) + 1);
+    monitor_.on_handoff();
+    count_departures(1);
+    P::store(ctx, w.granted, 1);
+    note(ctx, LockEvent::kGranted, g.tid);
+#ifdef RELOCK_CHECK_SEEDED_BUG_1
+    // Seeded PR 2 bug (TSan-caught): the shared grant scratch is cleared
+    // only after the grant flag is published, so the new owner may already
+    // be inside its own fast release - using the scratch without meta -
+    // when this late clear lands.
+    chk_point<P>(ctx, "bug1.window");
+    grant_scratch_.clear();
+#endif
+    return g;
+  }
+
+  /// The guarded release module: drains lock-free arrivals, installs a
+  /// pending scheduler if the old one has drained, picks the next grant
+  /// (orphans first), and either hands the lock off or publishes it as
+  /// free. Expects meta held; releases it.
   ///
   /// Allocation-free in steady state (asserted by release_alloc_test): the
   /// wake list lives in a fixed stack array and the grant batch reuses the
@@ -1806,18 +1861,14 @@ class ConfigurableLock {
     std::size_t wake_count = 0;
     // Coroutine waiters granted in this release: their delivery hooks must
     // run after meta_unlock (a hook may resume a frame that re-enters the
-    // lock), so they are chained here through the granter-owned hook_next
-    // link. Safe to chain before the granted store: a hooked record's
-    // lifetime is owned by the suspended frame, which cannot resume - and
-    // so cannot free the record - until its hook fires below.
+    // lock). An exclusive grantee's hook comes back from grant_exclusive; a
+    // reader batch's are chained through the granter-owned hook_next link.
+    // Safe to chain before the granted store: a hooked record's lifetime is
+    // owned by the suspended frame, which cannot resume - and so cannot
+    // free the record - until its hook fires below.
+    Grantee grantee;
     WaiterRecord<P>* hooked_head = nullptr;
     WaiterRecord<P>** hooked_tail = &hooked_head;
-    const auto chain_hook = [&](WaiterRecord<P>* w) {
-      if (w->grant_hook == nullptr) return;
-      w->hook_next = nullptr;
-      *hooked_tail = w;
-      hooked_tail = &w->hook_next;
-    };
     const auto queue_wake = [&](ThreadId tid) {
       monitor_.on_wakeup();
       if (wake_count < kWakeInline) {
@@ -1833,33 +1884,23 @@ class ConfigurableLock {
           has_pending_.load(std::memory_order_relaxed)) {
         install_pending(ctx);
       }
-      grant_scratch_.clear();
       // Orphans first, FIFO: waiters drained while no scheduler module was
       // current (reconfigured to kNone mid-arrival) precede any module's
       // choice so they cannot be stranded behind it.
-      if (WaiterRecord<P>* orphan = orphans_.front()) {
-        orphans_.remove(*orphan);
-        grant_scratch_.push_back(orphan);
+      WaiterRecord<P>* w = orphans_.front();
+      if (w != nullptr) {
+        orphans_.remove(*w);
       } else if (scheduler_ != nullptr) {
-        if (cell_served(scheduler_->kind())) {
-          // Paced pop: waits out producer link windows, so a linked
-          // waiter is never skipped (the façade's non-waiting select
-          // would report nobody and this loop would publish free).
-          if (WaiterRecord<P>* w = queue_pop(ctx)) {
-            grant_scratch_.push_back(w);
-          }
-        } else {
-          scheduler_->select(grant_scratch_, hint);
-        }
+        w = pick_successor(ctx, hint);
       }
 
-      if (grant_scratch_.empty()) {
+      if (w == nullptr) {
         // Nobody eligible: publish free and wake sleeping barging waiters.
         P::store(ctx, state_, 0);
         note(ctx, LockEvent::kReleaseFree);
-        sleepers_.for_each([&](WaiterRecord<P>& w) {
-          sleepers_.remove(w);
-          queue_wake(w.tid);
+        sleepers_.for_each([&](WaiterRecord<P>& s) {
+          sleepers_.remove(s);
+          queue_wake(s.tid);
           return true;
         });
         if constexpr (kRealConcurrency<P>) {
@@ -1875,8 +1916,20 @@ class ConfigurableLock {
           // routes the thief's release through the full path to serve that
           // waiter - without it a single-CAS fast unlock would strand the
           // record in the cell.
+          //
+          // Not during a configuration delay: a pending module exists only
+          // while the current one still holds waiters (the install above
+          // ran otherwise), and every record in the cell then belongs to
+          // the incoming generation, which no release can serve before the
+          // current module empties - re-grabbing for it would spin here
+          // for as long as the current module's waiters stay ineligible.
+          // That module empties by a grant, whose grantee's release takes
+          // the guarded path (the fast release stands down for a pending
+          // delay), or by a withdrawal, whose timed_out() serves the
+          // incoming generation - so the cell's records are not stranded.
           chk_point<P>(ctx, "gf.recheck");
-          if (queue_cell_.tail.fetch_add(0, std::memory_order_seq_cst) !=
+          if (!has_pending_.load(std::memory_order_relaxed) &&
+              queue_cell_.tail.fetch_add(0, std::memory_order_seq_cst) !=
                   nullptr &&
               claimed(P::fetch_or(ctx, state_, kClaimMark))) {
             hint = kInvalidThread;
@@ -1888,54 +1941,30 @@ class ConfigurableLock {
       }
 
       // Direct handoff: the state word stays held.
-      const bool shared_grant = grant_scratch_.front()->shared;
-      holders_ = static_cast<std::uint32_t>(grant_scratch_.size());
-      writer_held_ = !shared_grant;
-      assert(shared_grant || holders_ == 1);
-      if (!shared_grant) {
-        // Exclusive handoff: the granted store transfers the state word,
-        // and the new owner may run a fast release - which uses
-        // grant_scratch_ without taking meta - the instant it lands. Empty
-        // the batch BEFORE publishing so the scratch is never shared.
-        WaiterRecord<P>* w = grant_scratch_.front();
-#ifndef RELOCK_CHECK_SEEDED_BUG_1
-        grant_scratch_.clear();
-#endif
-        store_owner(ctx, static_cast<std::uint64_t>(w->tid) + 1);
-        unregister(*w);
-        w->granted_flag_host = true;
-        monitor_.on_handoff();
-        const ThreadId tid = w->tid;
-        const bool may_sleep = w->may_sleep;
-        chain_hook(w);
-        count_departures(1);
-        P::store(ctx, w->granted, 1);
-        note(ctx, LockEvent::kGranted, tid);
-#ifdef RELOCK_CHECK_SEEDED_BUG_1
-        // Seeded PR 2 bug (TSan-caught): the shared grant scratch is
-        // cleared only after the grant flag is published, so the new owner
-        // may already be inside its own fast release - using the scratch
-        // without meta - when this late clear lands.
-        chk_point<P>(ctx, "bug1.window");
-        grant_scratch_.clear();
-#endif
-        // After this store the record (on the waiter's stack) may
-        // disappear; only the captured tid is used below.
-        if (may_sleep) queue_wake(tid);
+      if (!w->shared) {
+        writer_held_ = true;
+        grantee = grant_exclusive(ctx, *w, /*under_meta=*/true);
+        if (grantee.may_sleep) queue_wake(grantee.tid);
         meta_unlock(ctx);
         break;
       }
-      // Shared batch: only reader-writer locks produce these, and RW locks
+      // Reader batch: only reader-writer locks produce these, and RW locks
       // never take the fast-release path, so nobody races the scratch.
+      holders_ = static_cast<std::uint32_t>(grant_scratch_.size());
+      writer_held_ = false;
       count_departures(holders_);
-      for (WaiterRecord<P>* w : grant_scratch_) {
-        unregister(*w);
-        w->granted_flag_host = true;
+      for (WaiterRecord<P>* r : grant_scratch_) {
+        unregister(*r);
+        r->granted_flag_host = true;
         monitor_.on_handoff();
-        if (w->may_sleep) queue_wake(w->tid);
-        const ThreadId shared_tid = w->tid;
-        chain_hook(w);
-        P::store(ctx, w->granted, 1);
+        if (r->may_sleep) queue_wake(r->tid);
+        const ThreadId shared_tid = r->tid;
+        if (r->grant_hook != nullptr) {
+          r->hook_next = nullptr;
+          *hooked_tail = r;
+          hooked_tail = &r->hook_next;
+        }
+        P::store(ctx, r->granted, 1);
         note(ctx, LockEvent::kGranted, shared_tid);
         // After this store the record (on the waiter's stack) may disappear
         // once meta is released; only the captured tids are used below.
@@ -1949,10 +1978,11 @@ class ConfigurableLock {
     }
     // Deliver coroutine grants. Each hook is the granter's last touch of
     // its record: the resumed frame owns it and may free it immediately.
-    for (WaiterRecord<P>* w = hooked_head; w != nullptr;) {
-      WaiterRecord<P>* const next = w->hook_next;
-      w->grant_hook(w->grant_hook_arg, ctx);
-      w = next;
+    if (grantee.hook != nullptr) grantee.hook(grantee.hook_arg, ctx);
+    for (WaiterRecord<P>* r = hooked_head; r != nullptr;) {
+      WaiterRecord<P>* const next = r->hook_next;
+      r->grant_hook(r->grant_hook_arg, ctx);
+      r = next;
     }
   }
 
@@ -2051,106 +2081,59 @@ class ConfigurableLock {
 
   // ----------------------------------------------------- bookkeeping -----
 
-  /// Bookkeeping for a fast-mode claim (fast_eligible_ locks on real
-  /// platforms only). The owner word is not written: nothing reads it
-  /// unless the lock is recursive, and recursive locks are never
-  /// fast-eligible. One monitor-enabled load gates everything else;
-  /// acquire_time_ is still cleared when the monitor is off so a later
-  /// monitored release cannot pair with a stale stamp.
-  void on_acquired_fast(Ctx& ctx, Nanos t0) {
-    note_trace(ctx, LockEvent::kAcquireFast, ctx.self());
-    full_mode_hold_ = false;
-    if (monitor_.enabled()) {
-      monitor_.on_acquire(/*contended=*/false);
-      acquire_time_ = t0 != 0 ? P::now(ctx) : 0;
-    } else {
-      acquire_time_ = 0;
-    }
-  }
-
-  void on_acquired_exclusive(Ctx& ctx, bool contended, Nanos t0) {
+  /// The one place a hold begins, keyed by how it began (Hold). An
+  /// exclusive claim stores the owner word (a grant's was stored by its
+  /// granter); every exclusive hold resets the recursion depth and records
+  /// whether it began in full mode - every grant leaves the contended bit
+  /// set, which lets the fissile unlock skip a CAS that would fail. Clock
+  /// elision on real platforms: with the monitor off the timestamps feed
+  /// nothing; with it on, only the 1-in-N sampled acquisitions (t0
+  /// nonzero) pay clock reads. acquire_time_ == 0 tells the release side
+  /// this hold carries no time sample. The simulator times every
+  /// operation, as its calibrated tables expect. Forced inline, like the
+  /// release entry and its pick and publication: as out-of-line calls
+  /// these four cost `governed_phases` ~5% on its median operation
+  /// (EXPERIMENTS.md, *One release path*).
+  template <Hold H>
+  [[gnu::always_inline]] void begin_hold(Ctx& ctx, Nanos t0) {
+    constexpr bool kShared = H == Hold::kSharedEntry || H == Hold::kSharedGrant;
+    constexpr bool kWaited = H == Hold::kContendedClaim || H == Hold::kGrant ||
+                             H == Hold::kSharedGrant;
     note_trace(ctx,
-               contended ? LockEvent::kAcquireSlow : LockEvent::kAcquireFast,
+               kShared   ? LockEvent::kAcquireShared
+               : kWaited ? LockEvent::kAcquireSlow
+                         : LockEvent::kAcquireFast,
                ctx.self());
-    store_owner(ctx, static_cast<std::uint64_t>(ctx.self()) + 1);
-    recursion_depth_ = 0;
-    if constexpr (kRealConcurrency<P>) {
-      full_mode_hold_ = false;
-      // Clock elision: with the monitor off the timestamps feed nothing;
-      // with it on, only the 1-in-N sampled acquisitions (t0 nonzero) pay
-      // clock reads. acquire_time_ == 0 tells the release side this hold
-      // carries no time sample.
-      if (!monitor_.enabled()) {
-        acquire_time_ = 0;
-        return;
+    if constexpr (!kShared) {
+      if constexpr (H != Hold::kGrant) {
+        store_owner(ctx, static_cast<std::uint64_t>(ctx.self()) + 1);
       }
-      monitor_.on_acquire(contended);
-      if (t0 != 0) {
-        acquire_time_ = P::now(ctx);
-        if (contended) monitor_.on_wait_complete(acquire_time_ - t0);
-      } else {
-        acquire_time_ = 0;
-      }
-    } else {
-      acquire_time_ = P::now(ctx);
-      monitor_.on_acquire(contended);
-      if (contended) monitor_.on_wait_complete(acquire_time_ - t0);
+      recursion_depth_ = 0;
+      full_mode_hold_ = H == Hold::kGrant;
     }
-  }
-
-  void on_granted(Ctx& ctx, bool shared, Nanos t0) {
-    note_trace(ctx,
-               shared ? LockEvent::kAcquireShared : LockEvent::kAcquireSlow,
-               ctx.self());
-    if constexpr (kRealConcurrency<P>) {
-      if (!shared) {
-        recursion_depth_ = 0;
-        full_mode_hold_ = true;  // every grant leaves the contended bit set
-      }
-      if (!monitor_.enabled()) {
-        if (!shared) acquire_time_ = 0;
-        return;
-      }
-      if (shared) {
-        monitor_.on_shared_acquire();
-      } else {
-        monitor_.on_acquire(/*contended=*/true);
-      }
-      if (t0 != 0) {
-        const Nanos now = P::now(ctx);
-        if (!shared) acquire_time_ = now;
-        monitor_.on_wait_complete(now - t0);
-      } else if (!shared) {
-        acquire_time_ = 0;
-      }
-    } else {
-      const Nanos now = P::now(ctx);
-      if (shared) {
-        monitor_.on_shared_acquire();
-      } else {
-        recursion_depth_ = 0;
-        acquire_time_ = now;
-        monitor_.on_acquire(/*contended=*/true);
-      }
-      monitor_.on_wait_complete(now - t0);
+    if (kRealConcurrency<P> && !monitor_.enabled()) {
+      if constexpr (!kShared) acquire_time_ = 0;
+      return;
     }
+    if constexpr (kShared) {
+      monitor_.on_shared_acquire();
+    } else {
+      monitor_.on_acquire(kWaited);
+    }
+    const bool sampled = !kRealConcurrency<P> || t0 != 0;
+    const Nanos now = sampled ? P::now(ctx) : 0;
+    if constexpr (!kShared) acquire_time_ = now;
+    if (kWaited && sampled) monitor_.on_wait_complete(now - t0);
   }
 
   // ------------------------------------------------- reader-writer -------
 
   bool try_acquire_rw(Ctx& ctx, bool shared) {
+    const Nanos t0 = P::now(ctx);
     meta_lock(ctx);
-    const bool ok = rw_can_enter(shared);
-    if (ok) rw_enter(ctx, shared);
+    if (rw_enter_at_once(ctx, shared, t0)) return true;
     meta_unlock(ctx);
-    if (ok) {
-      if (shared) {
-        monitor_.on_shared_acquire();
-      } else {
-        on_acquired_exclusive(ctx, /*contended=*/false, P::now(ctx));
-      }
-    }
-    return ok;
+    return false;
   }
 
   bool acquire_rw(Ctx& ctx, bool shared, Nanos timeout_override) {
@@ -2161,21 +2144,32 @@ class ConfigurableLock {
     const LockAttributes attrs = registration_attrs(ctx, timeout_override);
     const Nanos deadline =
         attrs.timeout_ns != 0 ? t0 + attrs.timeout_ns : kForever;
-
-    if (rw_can_enter(shared)) {
-      rw_enter(ctx, shared);
-      meta_unlock(ctx);
-      if (shared) {
-        monitor_.on_shared_acquire();
-      } else {
-        on_acquired_exclusive(ctx, /*contended=*/false, t0);
-      }
-      return true;
-    }
+    if (rw_enter_at_once(ctx, shared, t0)) return true;
 
     Scheduler<P>* target = arrival_module();
     assert(target != nullptr && "RW locks always have a scheduler");
     return wait_registered(ctx, *target, shared, attrs, deadline, t0);
+  }
+
+  /// Meta held. The reader-writer immediate entry: when rw_can_enter()
+  /// admits the caller, takes the hold, releases meta and begins the hold
+  /// bookkeeping (true); otherwise changes nothing and keeps meta (false).
+  bool rw_enter_at_once(Ctx& ctx, bool shared, Nanos t0) {
+    if (!rw_can_enter(shared)) return false;
+    if (shared) {
+      ++holders_;
+    } else {
+      holders_ = 1;
+    }
+    writer_held_ = !shared;
+    if (holders_ == 1) P::store(ctx, state_, 1);
+    meta_unlock(ctx);
+    if (shared) {
+      begin_hold<Hold::kSharedEntry>(ctx, t0);
+    } else {
+      begin_hold<Hold::kClaim>(ctx, t0);
+    }
+    return true;
   }
 
   /// Meta held. Immediate-entry rule: the lock must be compatible *and*
@@ -2195,26 +2189,16 @@ class ConfigurableLock {
     return holders_ == 0 && queue_empty;
   }
 
-  /// Meta held.
-  void rw_enter(Ctx& ctx, bool shared) {
-    if (shared) {
-      ++holders_;
-      writer_held_ = false;
-    } else {
-      holders_ = 1;
-      writer_held_ = true;
-    }
-    if (holders_ == 1) P::store(ctx, state_, 1);
-  }
-
   // -------------------------------------------------- active locks -------
 
-  // Mailbox protocol: 0 = empty; kMailboxShared = shared releases queued
-  // under meta; >= kMailboxExclusive = one exclusive release, hint inline.
-  // An exclusive lock has at most one release in flight (the next release
-  // cannot happen before the manager grants this one), so the whole request
-  // fits in a single mailbox write - this is what makes active unlocks
-  // cheaper for the releasing processor than running the release module.
+  // Mailbox protocol: 0 = empty; kMailboxShared = shared releases counted
+  // in pending_shared_releases_; >= kMailboxExclusive = one exclusive
+  // release, hint inline. An exclusive lock has at most one release in
+  // flight (the next release cannot happen before the manager grants this
+  // one), so the whole request fits in a single mailbox write - this is
+  // what makes active unlocks cheaper for the releasing processor than
+  // running the release module. Readers may release concurrently; a shared
+  // release carries nothing but itself, so they are counted.
   static constexpr std::uint64_t kMailboxShared = 1;
   static constexpr std::uint64_t kMailboxExclusive = 2;
 
@@ -2233,11 +2217,7 @@ class ConfigurableLock {
     if (!shared) {
       P::store(ctx, mailbox_, encode_mailbox_hint(hint));
     } else {
-      // Readers may release concurrently: queue under meta.
-      meta_lock(ctx);
-      pending_releases_.push_back(ReleaseRequest{hint, shared, acquire_time_});
-      pending_release_count_.fetch_add(1, std::memory_order_relaxed);
-      meta_unlock(ctx);
+      pending_shared_releases_.fetch_add(1, std::memory_order_release);
       P::store(ctx, mailbox_, kMailboxShared);
     }
     if (!opts_.active_polling) {
@@ -2246,22 +2226,12 @@ class ConfigurableLock {
     }
   }
 
+  /// Manager only: runs the release module once per counted shared
+  /// release, until none is left.
   void drain_releases(Ctx& ctx) {
-    for (;;) {
-      // Host-side gate: never acquire meta when nothing is pending.
-      if (pending_release_count_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-      meta_lock(ctx);
-      if (pending_releases_.empty()) {
-        meta_unlock(ctx);
-        return;
-      }
-      const ReleaseRequest req = pending_releases_.front();
-      pending_releases_.pop_front();
-      pending_release_count_.fetch_sub(1, std::memory_order_release);
-      meta_unlock(ctx);
-      release(ctx, req.hint, req.shared);
+    while (std::uint32_t n = pending_shared_releases_.exchange(
+               0, std::memory_order_acquire)) {
+      for (; n != 0; --n) release(ctx, kInvalidThread, /*shared=*/true);
     }
   }
 
@@ -2385,8 +2355,7 @@ class ConfigurableLock {
   std::atomic<bool> has_thread_attrs_{false};
 
   // Active-lock machinery.
-  std::deque<ReleaseRequest> pending_releases_;  ///< meta
-  std::atomic<std::uint32_t> pending_release_count_{0};
+  std::atomic<std::uint32_t> pending_shared_releases_{0};
   std::atomic<ThreadId> manager_tid_{kInvalidThread};
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};

@@ -105,6 +105,10 @@ TEST(RelockCheckDeep, CellRetire2Bound3) {
   expect_exhaustive(scenarios::cell_retire2(), 3);
 }
 
+TEST(RelockCheckDeep, ThresholdCellPending3Bound2) {
+  expect_exhaustive(scenarios::threshold_cell_pending3(), 2);
+}
+
 #if RELOCK_ASYNC_ENABLED
 TEST(RelockCheckDeep, AsyncGrant2Bound3) {
   expect_exhaustive(scenarios::async_grant2(), 3);

@@ -649,6 +649,75 @@ inline Scenario threshold3() {
   return s;
 }
 
+/// A configuration delay behind an ineligible waiter. The threshold module
+/// holds only a priority-1 timed waiter (threshold 5) when the holder
+/// switches to kFcfs, so the switch stays pending; an eligible priority-10
+/// arrival then registers under the incoming kFcfs, in the queue cell,
+/// before the holder releases. The release finds nobody eligible and must
+/// publish the lock free and return: the cell's record belongs to the
+/// incoming generation, which no release can serve while the threshold
+/// module still holds its waiter (re-grabbing the word for it spun forever
+/// under meta - the step budget's livelock). The delay completes when the
+/// ineligible waiter times out: its withdrawal empties the current module,
+/// and with the lock free the withdrawal itself installs kFcfs and grants
+/// the arrival - the configuration-delay oracle checks that this never
+/// happens while the priority-1 waiter is still registered.
+inline Scenario threshold_cell_pending3() {
+  Scenario s;
+  s.name = "threshold_cell_pending3";
+  s.fairness = FairnessMode::kThreshold;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kPriorityThreshold,
+                        LockAttributes::blocking());
+    // The waiters park until the holder lets them arrive (a parker token
+    // each), so only the protocol's own steps interleave.
+    constexpr ThreadId kIneligible = 1;
+    constexpr ThreadId kEligible = 2;
+    auto ineligible_done = std::make_shared<bool>(false);
+    Engine* chk = &f.engine();
+    f.add_thread(10, [lk, ineligible_done](Context& ctx) {
+      lk->set_priority_threshold(ctx, 5);
+      lk->lock(ctx);
+      ctx.cs_enter();
+      CheckPlatform::unblock(ctx, kIneligible);
+      while (lk->waiter_count() == 0 && !*ineligible_done) {
+        CheckPlatform::yield(ctx);
+      }
+      lk->configure_scheduler(ctx, SchedulerKind::kFcfs);
+      CheckPlatform::unblock(ctx, kEligible);
+      while (lk->waiter_count() < (*ineligible_done ? 1u : 2u)) {
+        CheckPlatform::yield(ctx);
+      }
+      ctx.cs_exit();
+      lk->unlock(ctx);
+    });
+    f.add_thread(1, [lk, ineligible_done](Context& ctx) {
+      CheckPlatform::block(ctx);
+      if (lk->lock_for(ctx, 300)) {
+        ctx.cs_enter();
+        ctx.cs_exit();
+        lk->unlock(ctx);
+      }
+      *ineligible_done = true;
+    });
+    f.add_thread(10, [lk](Context& ctx) {
+      CheckPlatform::block(ctx);
+      lock_cycle(lk, ctx);
+    });
+    f.on_finish([lk, chk] {
+      if (lk->scheduler_kind() != SchedulerKind::kFcfs ||
+          lk->reconfiguration_pending()) {
+        chk->fail_host("threshold_cell_pending3: the switch to kFcfs "
+                       "never completed");
+      }
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("threshold_cell_pending3: a record was stranded");
+      }
+    });
+  };
+  return s;
+}
+
 /// A monitor reset races a lock/unlock stream. LockMonitor::reset is
 /// snapshot-coherent (baseline subtraction, never writes to the live
 /// shards), so no schedule may observe a window where a counter appears to

@@ -1,8 +1,10 @@
 // Seeded-bug regression 1: this binary is compiled with
 // -DRELOCK_CHECK_SEEDED_BUG_1, which re-introduces the PR 2 data race where
-// grant_or_free's exclusive handoff published the grant flag *before*
-// clearing the shared grant scratch (the clear happens after the new owner
-// may already be running its own fast release). relock-check must find it:
+// an exclusive handoff published the grant flag *before* clearing the
+// shared grant scratch (the clear happens after the new owner may already
+// be running its own fast release). The successor pick and the grant
+// publication are shared by the fast and the guarded release, so the bug
+// sits in the one copy both take. relock-check must find it:
 // the shared-scratch session oracle reports the new owner's scratch
 // mutation landing inside the old releaser's still-open session.
 //
@@ -44,8 +46,8 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 }
 
 TEST(RelockCheckSeededBug1, PctFindsSharedScratchAndReplays) {
-  // Seed 1 finds the race at schedule 110; seeds 2-5 all find it within
-  // 1448 schedules, so the 5000-schedule budget has ample margin for
+  // Seed 1 finds the race at schedule 59; seeds 2-5 all find it within
+  // 562 schedules, so the 5000-schedule budget has ample margin for
   // env-overridden seeds.
   const std::uint64_t seed = env_u64("RELOCK_CHECK_SEED", 1);
   const std::uint64_t budget = env_u64("RELOCK_CHECK_SCHEDULES", 5000);

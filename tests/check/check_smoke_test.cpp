@@ -125,6 +125,16 @@ TEST(RelockCheckSmoke, CellRetire2Exhaustive) {
   expect_exhaustive(scenarios::cell_retire2(), 2);
 }
 
+TEST(RelockCheckSmoke, ThresholdCellPending3Bound1Exhaustive) {
+  // A pending kFcfs behind a threshold module that holds only an
+  // ineligible timed waiter, with an eligible arrival in the cell: the
+  // release publishes free instead of re-grabbing for the incoming
+  // generation, and the waiter's timeout completes the delay. Bound 1:
+  // three threads and a timer that may fire at every step (bound 2 is
+  // ~100k schedules, in the deep pass).
+  expect_exhaustive(scenarios::threshold_cell_pending3(), 1);
+}
+
 TEST(RelockCheckSmoke, EngineTick2Exhaustive) {
   // PolicyEngine::tick() flipping the waiting policy (flip-flop forcer)
   // against a worker's timed acquire and plain cycle: the governor's

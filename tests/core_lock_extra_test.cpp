@@ -112,6 +112,58 @@ TEST(ActiveLockExtra, FallsBackToPassiveWhenNotServing) {
   EXPECT_TRUE(done);
 }
 
+TEST(ActiveLockExtra, ReaderWriterReleasesThroughTheManager) {
+  // Readers release through a serving manager: each shared release is
+  // counted into the mailbox and the manager runs the release module once
+  // per reader; the last one grants the queued writer. A reader queued
+  // behind the writer is granted by the manager's run of the writer's
+  // (mailbox-posted) release.
+  Machine m(MachineParams::test_machine(6));
+  auto opts = base_options(SchedulerKind::kReaderWriter);
+  opts.execution = Execution::kActive;
+  Lock lock(m, opts);
+  int readers_inside = 0;
+  bool writer_done = false;
+  bool late_reader_done = false;
+  std::vector<ThreadId> all;
+  m.spawn(5, [&](Thread& t) { lock.serve(t); });
+  for (int i = 0; i < 2; ++i) {
+    all.push_back(m.spawn(static_cast<ProcId>(i), [&](Thread& t) {
+      ASSERT_TRUE(lock.lock_shared(t));
+      ++readers_inside;
+      m.compute(t, 100'000);
+      --readers_inside;
+      lock.unlock_shared(t);  // posts to the manager
+    }));
+  }
+  all.push_back(m.spawn(2, [&](Thread& t) {
+    m.compute(t, 20'000);  // the readers are inside
+    ASSERT_TRUE(lock.lock(t));
+    EXPECT_EQ(readers_inside, 0);
+    writer_done = true;
+    m.compute(t, 10'000);
+    lock.unlock(t);
+  }));
+  all.push_back(m.spawn(3, [&](Thread& t) {
+    m.compute(t, 40'000);  // the writer is queued
+    ASSERT_TRUE(lock.lock_shared(t));
+    EXPECT_TRUE(writer_done);
+    late_reader_done = true;
+    lock.unlock_shared(t);
+  }));
+  m.spawn(4, [&](Thread& t) {
+    for (ThreadId w : all) m.join(t, w);
+    lock.stop_serving(t);
+  });
+  m.run();
+  EXPECT_TRUE(writer_done);
+  EXPECT_TRUE(late_reader_done);
+  const LockStats s = lock.monitor().snapshot();
+  EXPECT_EQ(s.acquisitions, 4u);
+  EXPECT_EQ(s.handoffs, 2u) << "the writer's grant and the late reader's";
+  EXPECT_EQ(lock.waiter_count(), 0u);
+}
+
 // --------------------------------------------------------- advisory ------
 
 TEST(AdvisoryExtra, TimedSleepAdviceSleepsOnceThenSpins) {

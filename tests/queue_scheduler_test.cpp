@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -635,6 +639,86 @@ TEST(QueueScheduler, LeavingTheCellForNoneServesPreRegisteredFirst) {
   EXPECT_EQ(std::vector<int>(order.begin(), order.begin() + 3),
             (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(order[3] + order[4], 9 + 5);
+}
+
+/// Runs `body` on its own thread and fails if it has not returned within
+/// `limit`. A body stuck in a livelock cannot be joined or cancelled, so
+/// the failure ends the process rather than hanging the suite.
+void finishes_within(std::chrono::milliseconds limit,
+                     const std::function<void()>& body) {
+  std::atomic<bool> done{false};
+  std::thread t([&] {
+    body();
+    done.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!done.load()) {
+    ADD_FAILURE() << "did not return within " << limit.count() << " ms";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  t.join();
+}
+
+// A switch to kFcfs stays pending behind a threshold module whose only
+// waiter (priority 1, threshold 5) is ineligible, and a priority-10
+// arrival registers under the incoming kFcfs, in the cell, before the
+// holder releases. The release finds nobody eligible and must return with
+// the lock free; the arrival is granted once the priority-1 waiter leaves
+// the current module - served after the threshold drops, or timed out.
+// Returns the grant order by priority.
+std::vector<int> grants_behind_an_ineligible_waiter(bool times_out) {
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kPriorityThreshold));
+  native::Context ctx(dom);
+  lk.set_priority_threshold(ctx, 5);
+  lk.lock(ctx);
+  std::vector<int> order;  // guarded by lk itself
+  bool low_timed_out = false;
+  std::thread low([&] {
+    native::Context tctx(dom, 1);
+    if (times_out ? lk.lock_for(tctx, 300'000'000) : lk.lock(tctx)) {
+      order.push_back(1);
+      lk.unlock(tctx);
+    } else {
+      low_timed_out = true;
+    }
+  });
+  await([&] { return lk.waiter_count() == 1; }, true);
+  lk.configure_scheduler(ctx, SchedulerKind::kFcfs);
+  EXPECT_TRUE(lk.reconfiguration_pending());
+  std::thread high([&] {
+    native::Context tctx(dom, 10);
+    lk.lock(tctx);
+    order.push_back(10);
+    lk.unlock(tctx);
+  });
+  await([&] { return lk.waiter_count() == 2; }, true);
+  finishes_within(std::chrono::milliseconds(2000), [&] { lk.unlock(ctx); });
+  if (!times_out) lk.set_priority_threshold(ctx, 0);
+  finishes_within(std::chrono::milliseconds(5000), [&] {
+    low.join();
+    high.join();
+  });
+  EXPECT_EQ(low_timed_out, times_out);
+  EXPECT_FALSE(lk.reconfiguration_pending());
+  EXPECT_EQ(lk.scheduler_kind(), SchedulerKind::kFcfs);
+  EXPECT_EQ(lk.waiter_count(), 0u);
+  EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
+  return order;
+}
+
+TEST(QueueScheduler, PendingCellKindBehindAnIneligibleServedWaiter) {
+  EXPECT_EQ(grants_behind_an_ineligible_waiter(/*times_out=*/false),
+            (std::vector<int>{1, 10}));
+}
+
+TEST(QueueScheduler, PendingCellKindBehindAnIneligibleTimedOutWaiter) {
+  EXPECT_EQ(grants_behind_an_ineligible_waiter(/*times_out=*/true),
+            (std::vector<int>{10}));
 }
 
 TEST(QueueScheduler, TimeoutsRacingReconfiguration) {
