@@ -4,7 +4,10 @@
 // classical taxonomy (avoidance by ordering, no-wait, wait-die, plain
 // timeout) - all built on the table's try/timed acquisition paths, no
 // waits-for graph. The policy decides who ABORTS; safety (mutual
-// exclusion, misuse detection) is entirely the table's.
+// exclusion, misuse detection) is entirely the table's. Under wait-die
+// every holder, reader or writer, publishes its timestamp, so a
+// reader-writer cycle dies by age; the bounded waiting behind it is a
+// safety net for what the hashed board cannot see.
 #pragma once
 
 #include <algorithm>
@@ -52,25 +55,43 @@ enum class DeadlockPolicy : std::uint8_t {
   return "?";
 }
 
-/// Advisory who-holds-what board for wait-die: write holders publish their
-/// timestamp per key so a requester can compare ages. Keys hash into a
-/// fixed stamp array; a collision can only make the policy conservative
-/// (a requester may die against the wrong key's holder), never unsafe -
-/// the table still serializes everything. Stamp 0 = no known holder.
+/// Advisory who-holds-what board for wait-die: every holder, reader or
+/// writer, publishes its timestamp per key, and a slot keeps the OLDEST
+/// stamp published to it, so a requester dies whenever a visible holder is
+/// older - the textbook rule. Keys hash into a fixed stamp array; a
+/// collision can only make the policy conservative (a requester may die
+/// against the wrong key's holder), never unsafe - the table still
+/// serializes everything. Stamp 0 = no known holder. The board can still
+/// miss a holder: after a collision, after the oldest of several readers
+/// retracts while younger ones hold, and between a grant and its publish.
+/// TxnLockSet's bounded waiting covers those cases.
 class WaitDieStamps {
  public:
   explicit WaitDieStamps(std::size_t size = 4096)
       : mask_(std::bit_ceil(std::max<std::size_t>(size, 2)) - 1),
         stamps_(mask_ + 1) {}
 
+  /// Records `ts` as a holder of `key` unless an older (smaller, nonzero)
+  /// stamp is already there. Loads first: a holder younger than the slot's
+  /// stamp leaves the line shared.
   void publish(std::uint64_t key, std::uint64_t ts) noexcept {
-    stamps_[slot(key)].store(ts, std::memory_order_release);
+    std::atomic<std::uint64_t>& s = stamps_[slot(key)];
+    std::uint64_t cur = s.load(std::memory_order_relaxed);
+    while (cur == 0 || cur > ts) {
+      if (s.compare_exchange_weak(cur, ts, std::memory_order_acq_rel,
+                                  std::memory_order_relaxed)) {
+        return;
+      }
+    }
   }
+  /// Clears the slot only if it still holds `ts`; loads first, so a
+  /// transaction that no longer owns the slot does not take the line.
   void retract(std::uint64_t key, std::uint64_t ts) noexcept {
-    std::uint64_t expect = ts;  // only clear our own publication
-    stamps_[slot(key)].compare_exchange_strong(expect, 0,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& s = stamps_[slot(key)];
+    std::uint64_t expect = ts;
+    if (s.load(std::memory_order_relaxed) != expect) return;
+    s.compare_exchange_strong(expect, 0, std::memory_order_acq_rel,
+                              std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t holder(std::uint64_t key) const noexcept {
     return stamps_[slot(key)].load(std::memory_order_acquire);
@@ -153,9 +174,7 @@ class TxnLockSet {
     }
     if (!acquire_with_policy(ctx, key, mode)) return false;
     held_.push_back({key, mode});
-    if (mode == AccessMode::kWrite && cfg_.stamps != nullptr) {
-      cfg_.stamps->publish(key, ts_);
-    }
+    if (cfg_.stamps != nullptr) cfg_.stamps->publish(key, ts_);
     return true;
   }
 
@@ -164,9 +183,7 @@ class TxnLockSet {
   void release_all(Ctx& ctx) {
     shrinking_ = true;
     for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-      if (it->mode == AccessMode::kWrite && cfg_.stamps != nullptr) {
-        cfg_.stamps->retract(it->key, ts_);
-      }
+      if (cfg_.stamps != nullptr) cfg_.stamps->retract(it->key, ts_);
       if (it->mode == AccessMode::kRead) {
         table_.unlock_shared(ctx, it->key);
       } else {
@@ -180,6 +197,15 @@ class TxnLockSet {
     return held_.size();
   }
   [[nodiscard]] std::uint64_t timestamp() const noexcept { return ts_; }
+
+  /// Wait-die outcomes over this lock set's lifetime. Written only on the
+  /// abort and wait paths, so an uncontended acquisition pays nothing.
+  struct Stats {
+    std::uint64_t age_deaths = 0;    ///< died: a visible holder was older
+    std::uint64_t bound_deaths = 0;  ///< died: every timed slice expired
+    std::uint64_t timed_waits = 0;   ///< timed slices entered
+  };
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   struct Held {
@@ -199,29 +225,37 @@ class TxnLockSet {
         return shared ? table_.lock_shared_for(ctx, key, cfg_.wait_timeout)
                       : table_.lock_for(ctx, key, cfg_.wait_timeout);
       case DeadlockPolicy::kWaitDie: {
-        // The stamp board is approximate (hashed slots, last publisher
-        // wins, only reads go unpublished): a real holder can be invisible
-        // behind a 0 or a stale older stamp, so unbounded waiting on
-        // "holder unknown" can cycle two older-looking transactions into a
-        // livelock. Waiting is therefore bounded: after kWaitSlices timed
-        // slices without the lock, the waiter dies conservatively - the
-        // caller retries with its ORIGINAL timestamp, so seniority (and
-        // wait-die's starvation freedom) is preserved across the abort.
+        // The stamp board shows every holder that has published, oldest
+        // first, so a reader-writer cycle dies by age. It is still
+        // approximate (hashed slots; a younger reader hidden once the
+        // oldest retracts; the window between a grant and its publish): a
+        // real holder can be invisible behind a 0, and unbounded waiting
+        // on "holder unknown" could cycle two older-looking transactions
+        // into a livelock. Waiting is therefore bounded: after kWaitSlices
+        // timed slices without the lock, the waiter dies conservatively -
+        // the caller retries with its ORIGINAL timestamp, so seniority
+        // (and wait-die's starvation freedom) is preserved across the
+        // abort.
         constexpr int kWaitSlices = 16;
         for (int slice = 0; slice < kWaitSlices; ++slice) {
           const bool got = shared ? table_.try_lock_shared(ctx, key)
                                   : table_.try_lock(ctx, key);
           if (got) return true;
           const std::uint64_t holder = cfg_.stamps->holder(key);
-          if (holder != 0 && holder < ts_) return false;  // younger: die
+          if (holder != 0 && holder < ts_) {  // younger: die
+            ++stats_.age_deaths;
+            return false;
+          }
           // Older than any known holder (or holder unknown): wait a
           // bounded slice, then re-evaluate - the holder board may have
-          // learned a younger holder we must not keep waiting on.
+          // learned an older holder we must not keep waiting on.
+          ++stats_.timed_waits;
           if (shared ? table_.lock_shared_for(ctx, key, cfg_.wait_timeout)
                      : table_.lock_for(ctx, key, cfg_.wait_timeout)) {
             return true;
           }
         }
+        ++stats_.bound_deaths;
         return false;
       }
     }
@@ -233,6 +267,7 @@ class TxnLockSet {
   std::vector<Held> held_;
   std::uint64_t ts_ = 0;
   bool shrinking_ = false;
+  Stats stats_;
 };
 
 }  // namespace relock::table

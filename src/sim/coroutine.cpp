@@ -4,6 +4,13 @@
 #include <cstring>
 #include <utility>
 
+#if defined(RELOCK_SIM_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(RELOCK_SIM_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if defined(__x86_64__)
 
 extern "C" {
@@ -32,8 +39,7 @@ struct InitialFrame {
 static_assert(sizeof(InitialFrame) == 8 + 6 * 8 + 8);
 }  // namespace
 
-Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
-    : entry_(std::move(entry)), stack_(stack_size) {
+void Coroutine::prepare_context() {
   auto* top = static_cast<char*>(stack_.top());
   auto* frame = reinterpret_cast<InitialFrame*>(top - sizeof(InitialFrame));
   std::memset(frame, 0, sizeof(InitialFrame));
@@ -45,34 +51,9 @@ Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
   coro_sp_ = frame;
 }
 
-Coroutine::~Coroutine() {
-  // A coroutine abandoned mid-flight simply has its stack unmapped; entry
-  // functions in this codebase hold no resources across suspension points
-  // that the simulator does not also own.
-}
+void Coroutine::switch_in() { relock_ctx_swap(&caller_sp_, coro_sp_); }
 
-void Coroutine::resume() {
-  assert(!finished_ && "resume of finished coroutine");
-  started_ = true;
-  relock_ctx_swap(&caller_sp_, coro_sp_);
-}
-
-void Coroutine::suspend() {
-  relock_ctx_swap(&coro_sp_, caller_sp_);
-}
-
-void Coroutine::entry_thunk(void* self) {
-  static_cast<Coroutine*>(self)->run_entry();
-}
-
-void Coroutine::run_entry() {
-  entry_();
-  finished_ = true;
-  // Final transfer back to the resumer; never returns.
-  relock_ctx_swap(&coro_sp_, caller_sp_);
-  assert(false && "finished coroutine was resumed");
-  __builtin_unreachable();
-}
+void Coroutine::switch_out() { relock_ctx_swap(&coro_sp_, caller_sp_); }
 
 }  // namespace relock::sim
 
@@ -80,8 +61,7 @@ void Coroutine::run_entry() {
 
 namespace relock::sim {
 
-Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
-    : entry_(std::move(entry)), stack_(stack_size) {
+void Coroutine::prepare_context() {
   getcontext(&coro_ctx_);
   coro_ctx_.uc_stack.ss_sp =
       static_cast<char*>(stack_.top()) - stack_.usable_size();
@@ -91,28 +71,94 @@ Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
               reinterpret_cast<void (*)()>(&Coroutine::entry_thunk), 1, this);
 }
 
-Coroutine::~Coroutine() = default;
+void Coroutine::switch_in() { swapcontext(&caller_ctx_, &coro_ctx_); }
+
+void Coroutine::switch_out() { swapcontext(&coro_ctx_, &caller_ctx_); }
+
+}  // namespace relock::sim
+
+#endif
+
+namespace relock::sim {
+
+// Sanitizer fiber protocol around every switch. ASan: start_switch names
+// the stack about to run and parks the current stack's fake frames (none
+// when the coroutine leaves for good); finish_switch, on the new stack,
+// restores them and reports the stack that was left - the resumer's, which
+// can differ per resume on the vthreads runtime. TSan: each coroutine is a
+// fiber, switched to before every transfer.
+
+Coroutine::Coroutine(std::function<void()> entry, std::size_t stack_size)
+    : entry_(std::move(entry)), stack_(stack_size) {
+  prepare_context();
+#if defined(RELOCK_SIM_TSAN_FIBERS)
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+Coroutine::~Coroutine() {
+  // A coroutine abandoned mid-flight simply has its stack unmapped; entry
+  // functions in this codebase hold no resources across suspension points
+  // that the simulator does not also own.
+#if defined(RELOCK_SIM_TSAN_FIBERS)
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
 
 void Coroutine::resume() {
   assert(!finished_ && "resume of finished coroutine");
   started_ = true;
-  swapcontext(&caller_ctx_, &coro_ctx_);
+#if defined(RELOCK_SIM_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(
+      &caller_fake_stack_,
+      static_cast<char*>(stack_.top()) - stack_.usable_size(),
+      stack_.usable_size());
+#endif
+#if defined(RELOCK_SIM_TSAN_FIBERS)
+  tsan_caller_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
+#endif
+  switch_in();
+#if defined(RELOCK_SIM_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(caller_fake_stack_, nullptr, nullptr);
+#endif
 }
 
-void Coroutine::suspend() { swapcontext(&coro_ctx_, &caller_ctx_); }
+void Coroutine::suspend() {
+  leave(/*final=*/false);
+  arrive();
+}
 
 void Coroutine::entry_thunk(void* self) {
   static_cast<Coroutine*>(self)->run_entry();
 }
 
 void Coroutine::run_entry() {
+  arrive();
   entry_();
   finished_ = true;
-  swapcontext(&coro_ctx_, &caller_ctx_);
+  // Final transfer back to the resumer; never returns.
+  leave(/*final=*/true);
   assert(false && "finished coroutine was resumed");
   __builtin_unreachable();
 }
 
-}  // namespace relock::sim
-
+void Coroutine::leave([[maybe_unused]] bool final) {
+#if defined(RELOCK_SIM_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(final ? nullptr : &coro_fake_stack_,
+                                 caller_stack_bottom_, caller_stack_size_);
 #endif
+#if defined(RELOCK_SIM_TSAN_FIBERS)
+  __tsan_switch_to_fiber(tsan_caller_fiber_, 0);
+#endif
+  switch_out();
+}
+
+void Coroutine::arrive() noexcept {
+#if defined(RELOCK_SIM_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(coro_fake_stack_, &caller_stack_bottom_,
+                                  &caller_stack_size_);
+#endif
+}
+
+}  // namespace relock::sim

@@ -2,11 +2,14 @@
 // discipline (ordering, upgrade rules, phase rules), wait-die / no-wait
 // resolution of induced cycles (two transactions taking the same two keys
 // in reversed order must never deadlock - the victim observes an abort,
-// the survivor commits), and Zipfian generator distribution sanity.
+// the survivor commits; a reader-writer cycle dies by age, not at the
+// wait bound), the wait-die stamp board's oldest-holder rule, and Zipfian
+// generator distribution sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -198,6 +201,82 @@ TEST(TwoPhaseLocking, WaitDieResolvesReversedOrderCycle) {
   }
 }
 
+// The reader-writer cycle: T1 (older, ts=1) read-holds A and wants to
+// write B; T2 (younger, ts=2) read-holds B and wants to write A. Readers
+// publish their stamps too, so T2 sees T1's stamp on A and dies by age at
+// once; T1 waits inside its first slice until T2's abort frees B. Slices
+// are 20 ms, so a cycle left to the wait bound would spin 16 x 20 ms and
+// end in a bound death, which the counters would show.
+TEST(TwoPhaseLocking, WaitDieResolvesReaderWriterCycleByAge) {
+  native::Domain dom(16);
+  Table t(dom, table_options(/*rw=*/true));
+  WaitDieStamps stamps(64);
+  const Table::Key A = 100, B = 200;
+  constexpr Nanos kSlice = 20'000'000;
+  std::barrier both_read(2);
+  Txn::Stats s1, s2;
+  int t1_commits = 0, t1_aborts = 0;
+  int t2_commits = 0, t2_aborts = 0;
+
+  std::thread th1([&] {
+    native::Context ctx(dom);
+    Txn txn(t, {.policy = DeadlockPolicy::kWaitDie,
+                .wait_timeout = kSlice,
+                .stamps = &stamps});
+    txn.begin(1);
+    const bool read = txn.acquire(ctx, A, AccessMode::kRead);
+    both_read.arrive_and_wait();
+    if (read && txn.acquire(ctx, B, AccessMode::kWrite)) {
+      ++t1_commits;
+    } else {
+      ++t1_aborts;
+    }
+    txn.release_all(ctx);
+    s1 = txn.stats();
+  });
+
+  std::thread th2([&] {
+    native::Context ctx(dom);
+    Txn txn(t, {.policy = DeadlockPolicy::kWaitDie,
+                .wait_timeout = kSlice,
+                .stamps = &stamps});
+    txn.begin(2);
+    bool ok = txn.acquire(ctx, B, AccessMode::kRead);
+    both_read.arrive_and_wait();
+    ok = ok && txn.acquire(ctx, A, AccessMode::kWrite);
+    // Retry the whole transaction with the same timestamp until it commits.
+    while (!ok) {
+      ++t2_aborts;
+      txn.release_all(ctx);  // the first abort frees B, unblocking T1
+      std::this_thread::yield();
+      txn.begin(2);
+      ok = txn.acquire(ctx, B, AccessMode::kRead) &&
+           txn.acquire(ctx, A, AccessMode::kWrite);
+    }
+    ++t2_commits;
+    txn.release_all(ctx);
+    s2 = txn.stats();
+  });
+
+  th1.join();
+  th2.join();
+  EXPECT_EQ(t1_aborts, 0) << "the older transaction must not die";
+  EXPECT_EQ(t1_commits, 1);
+  EXPECT_GE(t2_aborts, 1) << "the younger transaction must die";
+  EXPECT_EQ(t2_commits, 1) << "the victim retries and commits";
+  EXPECT_EQ(s1.age_deaths, 0u);
+  EXPECT_GE(s2.age_deaths, 1u) << "T2 dies by the age rule";
+  EXPECT_EQ(s1.bound_deaths + s2.bound_deaths, 0u)
+      << "nothing may die at the slice bound";
+  EXPECT_EQ(stamps.holder(A), 0u);
+  EXPECT_EQ(stamps.holder(B), 0u);
+  native::Context ctx(dom);
+  for (const Table::Key k : {A, B}) {
+    EXPECT_TRUE(t.try_lock(ctx, k));
+    t.unlock(ctx, k);
+  }
+}
+
 // Same reversed-order cycle under no-wait: nobody ever blocks, so the
 // deadlock cannot form; with abort-and-retry both sides eventually commit.
 TEST(TwoPhaseLocking, NoWaitResolvesReversedOrderCycle) {
@@ -278,6 +357,104 @@ TEST(TwoPhaseLocking, SeededOrderedWorkloadSoak) {
   for (auto& th : team) th.join();
   EXPECT_EQ(committed.load(), kThreads * kTxns);
   EXPECT_EQ(t.inflated_count(), 0u);
+}
+
+TEST(WaitDieStamps, OldestPublisherWins) {
+  WaitDieStamps stamps(64);
+  stamps.publish(7, 5);
+  EXPECT_EQ(stamps.holder(7), 5u);
+  stamps.publish(7, 3);  // older: replaces
+  EXPECT_EQ(stamps.holder(7), 3u);
+  stamps.publish(7, 1);
+  EXPECT_EQ(stamps.holder(7), 1u);
+}
+
+TEST(WaitDieStamps, YoungerPublishDoesNotOverwriteAnOlderStamp) {
+  WaitDieStamps stamps(64);
+  stamps.publish(7, 3);
+  stamps.publish(7, 9);
+  stamps.publish(7, 4);
+  EXPECT_EQ(stamps.holder(7), 3u);
+}
+
+TEST(WaitDieStamps, RetractClearsOnlyItsOwnStamp) {
+  WaitDieStamps stamps(64);
+  stamps.publish(7, 3);
+  stamps.publish(7, 5);
+  stamps.retract(7, 5);  // 5 never owned the slot
+  EXPECT_EQ(stamps.holder(7), 3u);
+  stamps.retract(7, 8);  // never published at all
+  EXPECT_EQ(stamps.holder(7), 3u);
+  stamps.retract(7, 3);
+  EXPECT_EQ(stamps.holder(7), 0u);
+}
+
+// Holders publish and retract one slot concurrently, each with a
+// timestamp of its own, in every interleaving the threads produce; a
+// stamp only ever leaves the slot through its own retract, so once
+// everyone has retracted the slot is empty.
+TEST(WaitDieStamps, SlotReadsZeroAfterAllHoldersRetract) {
+  WaitDieStamps stamps(64);
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kRounds = 20'000;
+  std::vector<std::thread> threads;
+  for (std::uint64_t id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&stamps, id] {
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        // Unique, interleaved ages: neighbours are older and younger.
+        const std::uint64_t ts = (r * kThreads) + ((id * 3 + r) % kThreads) + 1;
+        stamps.publish(7, ts);
+        stamps.retract(7, ts);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(stamps.holder(7), 0u);
+}
+
+// Two keys hashing to one slot: the board can report the wrong key's
+// holder, which only ever makes wait-die abort more, never grant more.
+// An older requester (ts=2) dies against key K2's true holder (ts=3,
+// younger - textbook wait-die would let it wait) because K1's holder
+// (ts=1) shares the slot; the table still excludes, and an uncontended
+// acquisition never consults the board at all.
+TEST(WaitDieStamps, HashCollisionIsOnlyConservative) {
+  native::Domain dom(16);
+  Table t(dom, table_options());
+  WaitDieStamps stamps(2);  // two slots: collisions are easy to find
+  const Table::Key K1 = 1;
+  stamps.publish(K1, 99);
+  Table::Key K2 = K1 + 1;
+  while (stamps.holder(K2) != 99) ++K2;
+  stamps.retract(K1, 99);
+  ASSERT_EQ(stamps.holder(K2), 0u);
+
+  native::Context ca(dom), cb(dom), cc(dom);
+  const Txn::Config cfg{.policy = DeadlockPolicy::kWaitDie,
+                        .wait_timeout = 1'000'000,
+                        .stamps = &stamps};
+  Txn a(t, cfg), b(t, cfg), c(t, cfg);
+  a.begin(1);
+  ASSERT_TRUE(a.acquire(ca, K1, AccessMode::kWrite));
+  b.begin(3);
+  ASSERT_TRUE(b.acquire(cb, K2, AccessMode::kWrite))
+      << "a free key is granted whatever its slot shows";
+  EXPECT_EQ(stamps.holder(K2), 1u) << "the older stamp keeps the slot";
+
+  c.begin(2);
+  EXPECT_FALSE(c.acquire(cc, K2, AccessMode::kWrite));
+  EXPECT_EQ(c.stats().age_deaths, 1u);
+  EXPECT_EQ(c.stats().timed_waits, 0u);
+  c.release_all(cc);
+  EXPECT_FALSE(t.try_lock(cc, K2)) << "the table still excludes";
+
+  b.release_all(cb);
+  a.release_all(ca);
+  EXPECT_EQ(stamps.holder(K1), 0u);
+  for (const Table::Key k : {K1, K2}) {
+    EXPECT_TRUE(t.try_lock(cc, k));
+    t.unlock(cc, k);
+  }
 }
 
 TEST(ZipfianSampler, ThetaZeroIsUniform) {
