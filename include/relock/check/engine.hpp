@@ -254,8 +254,11 @@ class Engine {
   void fail_host(const std::string& msg);
 
   /// The engine whose schedule is currently executing on this host thread
-  /// (for context-free hooks). Null outside explore/replay.
-  [[nodiscard]] static Engine* current() { return current_; }
+  /// (for context-free hooks). Null outside explore/replay. Defined out of
+  /// line, beside the thread_local it reads: an inline read through the
+  /// thread_local's wrapper draws a spurious UBSan null-load report when it
+  /// runs on a model thread's stack in ASan+UBSan builds.
+  [[nodiscard]] static Engine* current();
 
  private:
   friend class ScenarioFrame;

@@ -368,9 +368,10 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
 /// safe to call under the meta guard on any platform — and exact on the
 /// simulator, where registration is meta-serialized and no window exists.
 ///
-/// By default the module owns its cell (standalone/simulator use); the
-/// lock constructs it over the lock-resident cell instead so the cell's
-/// identity survives configure_scheduler round trips. The lock also serves
+/// By default the module owns its cell and the cell's consumer cursor
+/// (standalone/simulator use); the lock constructs it over the
+/// lock-resident cell and cursor instead so their identity survives
+/// configure_scheduler round trips. The lock also serves
 /// kFcfs from the cell on kRealConcurrency platforms (the FIFO is the
 /// same; see ConfigurableLock::cell_served), so the façade reports the
 /// kind it was built for.
@@ -380,10 +381,10 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   using Rec = WaiterRecord<P>;
   using Cell = WaitQueueCell<P>;
 
-  DistributedQueueScheduler() : cell_(&owned_) {}
-  explicit DistributedQueueScheduler(Cell* cell,
-                                     SchedulerKind kind = SchedulerKind::kQueue)
-      : cell_(cell), kind_(kind) {}
+  DistributedQueueScheduler() : cell_(&owned_), cursor_(&owned_cursor_) {}
+  DistributedQueueScheduler(Cell* cell, Rec** cursor,
+                            SchedulerKind kind = SchedulerKind::kQueue)
+      : cell_(cell), cursor_(cursor), kind_(kind) {}
 
   [[nodiscard]] SchedulerKind kind() const noexcept override { return kind_; }
 
@@ -404,23 +405,22 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   /// kRealConcurrency platforms the lock routes withdrawals through its
   /// own paced remover instead (an in-flight producer link can force a
   /// wait that only the lock can pace).
-  void remove(Rec& w) override { (void)cell_->remove(w, spin); }
+  void remove(Rec& w) override { (void)cell_->remove(*cursor_, w, spin); }
 
   void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
     if (Rec* w = try_pop()) out.push_back(w);
   }
 
   [[nodiscard]] bool empty() const noexcept override {
-    return cell_->empty();
+    return cell_->empty(*cursor_);
   }
-  /// Counts the consumer side: the staged record, then the adopted head
-  /// (else the published first arrival) along the qnext links. Exact at
-  /// quiescence; a record whose producer is still inside its publication
-  /// window is not counted yet.
+  /// Counts the consumer side: from the cursor (else the published first
+  /// arrival) along the qnext links. Exact at quiescence; a record whose
+  /// producer is still inside its publication window is not counted yet.
   [[nodiscard]] std::size_t size() const noexcept override {
-    std::size_t n = cell_->staged != nullptr ? 1 : 0;
-    for (const Rec* r = cell_->head != nullptr
-                            ? cell_->head
+    std::size_t n = 0;
+    for (const Rec* r = *cursor_ != nullptr
+                            ? *cursor_
                             : cell_->first.load(std::memory_order_acquire);
          r != nullptr; r = r->qnext.load(std::memory_order_acquire)) {
       ++n;
@@ -431,13 +431,15 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   [[nodiscard]] Rec* pop_any() noexcept override { return try_pop(); }
 
   [[nodiscard]] Cell& cell() noexcept { return *cell_; }
+  /// The consumer cursor: the oldest linked record not yet granted.
+  [[nodiscard]] Rec*& cursor() noexcept { return *cursor_; }
 
  private:
   /// Pops the queue head, or returns nullptr when the queue is empty OR a
   /// producer's link publication is still in flight (callers retry or let
   /// the lock's paced consumer finish the job).
   [[nodiscard]] Rec* try_pop() noexcept {
-    return cell_->pop([](const char*, std::atomic<Rec*>& slot) {
+    return cell_->pop(*cursor_, [](const char*, std::atomic<Rec*>& slot) {
       return slot.load(std::memory_order_acquire);
     });
   }
@@ -453,7 +455,9 @@ class DistributedQueueScheduler final : public Scheduler<P> {
   }
 
   Cell owned_;
+  Rec* owned_cursor_ = nullptr;
   Cell* cell_;
+  Rec** cursor_;
   SchedulerKind kind_ = SchedulerKind::kQueue;
 };
 

@@ -3,9 +3,9 @@
 // Lock algorithms call chk_point / chk_event / chk_scratch at every shared-
 // memory transition that does NOT already go through a platform Word
 // operation: the configuration-quiescence epoch counters, the queue
-// cell's tail and publication slots (awaited by its pops, pop-ahead
-// included), the shared grant scratch, and the seqlock attribute slots
-// all live in host-side atomics, so without these hooks a
+// cell's tail and publication slots (awaited by its unlinks, a grantee's
+// handover included), the shared grant scratch, and the seqlock attribute
+// slots all live in host-side atomics, so without these hooks a
 // controlled scheduler could not interleave threads between them.
 //
 // On ordinary platforms (native, sim, vthreads) none of the hook statics

@@ -13,6 +13,8 @@ namespace relock::chk {
 
 thread_local Engine* Engine::current_ = nullptr;
 
+Engine* Engine::current() { return current_; }
+
 namespace {
 
 /// Stack size for model-thread coroutines: scenario bodies run the full

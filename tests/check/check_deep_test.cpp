@@ -89,6 +89,14 @@ TEST(RelockCheckDeep, QueueStagedTimeout3Bound3) {
   expect_exhaustive(scenarios::queue_staged_timeout3(), 3);
 }
 
+TEST(RelockCheckDeep, HandoverTail3Bound3) {
+  expect_exhaustive(scenarios::handover_tail3(), 3);
+}
+
+TEST(RelockCheckDeep, HandoverQuiesce3Bound3) {
+  expect_exhaustive(scenarios::handover_quiesce3(), 3);
+}
+
 TEST(RelockCheckDeep, QueueConfig2Bound3) {
   expect_exhaustive(scenarios::queue_config2(), 3);
 }

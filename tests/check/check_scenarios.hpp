@@ -63,7 +63,7 @@ inline void lock_cycle(const std::shared_ptr<Lock>& lk, Context& ctx) {
 }
 
 /// Two spinning threads race one FCFS lock: registration, lock-free
-/// arrival, direct handoff, lost-release guard, the queue cell's pop-ahead.
+/// arrival, direct handoff, lost-release guard, the grantee handover.
 inline Scenario handoff2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("handoff2", kind);
@@ -342,11 +342,13 @@ inline Scenario queue_timeout2() {
   return s;
 }
 
-/// queue_timeout2 with a plain waiter queued ahead of the timed one: the
-/// release that grants the plain waiter stages the timed waiter's record
-/// (the cell's pop-ahead), so the timeout can land while that record is
-/// staged - off the producers' chain but still queued - and its withdrawal
-/// must find it there, against the next release's pop of it.
+/// queue_timeout2 with a plain waiter queued ahead of the timed one: once
+/// the plain waiter is granted, the timed waiter's record is the cell's
+/// front (the slot the retired pop-ahead called "staged", hence the name),
+/// so the timeout can land while that record is the cursor's - before,
+/// during or after the plain waiter's handover moves the cursor to it -
+/// and its withdrawal must find it there, against the next release's
+/// unlink and grant of it.
 inline Scenario queue_staged_timeout3() {
   Scenario s;
   s.name = "queue_staged_timeout3";
@@ -366,6 +368,82 @@ inline Scenario queue_staged_timeout3() {
         ctx.cs_enter();
         ctx.cs_exit();
         lk->unlock(ctx);
+      }
+    });
+  };
+  return s;
+}
+
+/// Grantee handover at the tail: the holder's fast release grants the
+/// queued waiter linked, and that grantee is the cell's last record while
+/// a third thread arrives. The arrival's tail swap may land before the
+/// grantee's tail CAS (which then fails, and the grantee waits out the
+/// arrival's link to hand it the cursor), between the swap and the link,
+/// or after the CAS swung the tail back to empty (the arrival then
+/// publishes through the first slot). Every ordering must grant the
+/// arrival in FIFO order and leave no record in the cell.
+inline Scenario handover_tail3() {
+  Scenario s;
+  s.name = "handover_tail3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kFcfs);
+    Engine* chk = &f.engine();
+    f.add_thread(1, [lk](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      ctx.cs_exit();
+      CheckPlatform::yield(ctx);
+      lk->unlock(ctx);
+    });
+    for (int i = 0; i < 2; ++i) {
+      f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
+    }
+    f.on_finish([lk, chk] {
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("handover_tail3: a record was stranded in the cell");
+      }
+    });
+  };
+  return s;
+}
+
+/// Breakers armed while a linked grant's handover is pending. The holder
+/// releases (a fast release granting the queued untimed waiter linked)
+/// and at once reconfigures its waiting policy: the QuiesceGuard must wait
+/// out the grantee's handover, since the in-flight count is the
+/// grantee's to retire. A timed waiter's lock_for arms its own breaker
+/// around the same window and may time out into a withdrawal that waits
+/// the handover out under meta. No configuration may begin while the
+/// cursor still names the granted record (the epoch-safety oracle), and
+/// no record may be left in the cell.
+inline Scenario handover_quiesce3() {
+  Scenario s;
+  s.name = "handover_quiesce3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kFcfs);
+    Engine* chk = &f.engine();
+    f.add_thread(1, [lk](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      ctx.cs_exit();
+      CheckPlatform::yield(ctx);
+      lk->unlock(ctx);
+      lk->configure_waiting(ctx, LockAttributes::backoff_spin(4));
+    });
+    f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
+    f.add_thread(1, [lk](Context& ctx) {
+      if (lk->lock_for(ctx, 300)) {
+        ctx.cs_enter();
+        ctx.cs_exit();
+        lk->unlock(ctx);
+      }
+    });
+    f.on_finish([lk, chk] {
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("handover_quiesce3: a record was stranded in the "
+                       "cell");
       }
     });
   };

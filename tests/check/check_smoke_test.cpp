@@ -96,9 +96,22 @@ TEST(RelockCheckSmoke, QueueTimeout2Exhaustive) {
 }
 
 TEST(RelockCheckSmoke, QueueStagedTimeout3Bound2Exhaustive) {
-  // A timed waiter's record withdrawn while the cell's pop-ahead holds it
-  // staged, racing the release that would pop and grant it.
+  // A timed waiter's record withdrawn while it is the cell's front,
+  // racing the handover that moves the cursor to it and the release that
+  // would unlink and grant it.
   expect_exhaustive(scenarios::queue_staged_timeout3(), 2);
+}
+
+TEST(RelockCheckSmoke, HandoverTail3Bound2Exhaustive) {
+  // A linked grant's grantee is the cell's tail while a third thread
+  // arrives: the handover's tail CAS against the arrival's swap and link.
+  expect_exhaustive(scenarios::handover_tail3(), 2);
+}
+
+TEST(RelockCheckSmoke, HandoverQuiesce3Bound2Exhaustive) {
+  // configure_waiting and a lock_for waiter arm breakers while a linked
+  // grant's handover is pending: both must wait it out.
+  expect_exhaustive(scenarios::handover_quiesce3(), 2);
 }
 
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {

@@ -4,7 +4,8 @@
 // between their cores on each handoff. The rule pinned here: no word that
 // arrivals write (the state word's contended mark, the queue cell's tail
 // swap, the waiter count) shares a 64-byte
-// line with the state-word owner's release state. The waiter record gets
+// line with the state-word owner's release state, and the queue cell's
+// consumer cursor sits on that owner line. The waiter record gets
 // the same treatment from the other side: every field a releaser touches
 // when it grants a record sits on one line, apart from the grant flag the
 // waiter spins on. Addresses are compared at runtime (through a friend
@@ -64,7 +65,8 @@ struct LockLayoutProbe {
             span("acquire_time_", lk.acquire_time_),
             span("orphans_", lk.orphans_),
             span("grant_scratch_", lk.grant_scratch_),
-            span("waiters_departed_", lk.waiters_departed_)};
+            span("waiters_departed_", lk.waiters_departed_),
+            span("queue_cursor_", lk.queue_cursor_)};
   }
 
   /// The waiter counts ride lines their writers already own: the arrival
@@ -75,6 +77,23 @@ struct LockLayoutProbe {
                span("arrived", lk.waiters_arrived_).last_line() &&
            span("inflight", lk.fast_releases_inflight_).first_line() ==
                span("departed", lk.waiters_departed_).last_line();
+  }
+
+  /// The grantee handover's line: the cell's cursor, which a fast release
+  /// reads before its grant store and the handover's grantee writes, the
+  /// in-flight count the grantee retires, and the hold state its
+  /// begin_hold() writes next, all on one line.
+  static bool handover_on_one_line(const Lock& lk) {
+    const std::uintptr_t line = span("cursor", lk.queue_cursor_).first_line();
+    for (const Span& s :
+         {span("cursor", lk.queue_cursor_),
+          span("inflight", lk.fast_releases_inflight_),
+          span("recursion_depth_", lk.recursion_depth_),
+          span("full_mode_hold_", lk.full_mode_hold_),
+          span("acquire_time_", lk.acquire_time_)}) {
+      if (s.first_line() != line || s.last_line() != line) return false;
+    }
+    return true;
   }
 
   static std::uintptr_t base(const Lock& lk) {
@@ -116,6 +135,8 @@ TEST(LockLayout, ArrivalWordsAvoidOwnerReleaseLines) {
   using Probe = LockLayoutProbe<native::NativePlatform>;
   EXPECT_TRUE(Probe::counts_on_owned_lines(*lk))
       << "a waiter count left the line its writer already owns";
+  EXPECT_TRUE(Probe::handover_on_one_line(*lk))
+      << "the cell's cursor left the owner line the handover writes";
 }
 
 TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
@@ -126,8 +147,9 @@ TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
                                                Placement::any(), false, true);
   ASSERT_EQ(reinterpret_cast<std::uintptr_t>(rec.get()) % kCacheLineSize, 0u);
   // Read or written by a releaser selecting and granting the record: the
-  // cell pop (qnext), the module unregistration, the grant-hook capture,
-  // the guarded grant's host flag and hook chain, and the priority scan.
+  // cell unlink (qnext), the handover test, the module unregistration, the
+  // grant-hook capture, the guarded grant's host flag and hook chain, and
+  // the priority scan.
   const std::vector<Probe::Span> handoff = {
       Probe::span("qnext", rec->qnext),
       Probe::span("registered_with", rec->registered_with),
@@ -138,6 +160,7 @@ TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
       Probe::span("priority", rec->priority),
       Probe::span("shared", rec->shared),
       Probe::span("may_sleep", rec->may_sleep),
+      Probe::span("hands_over", rec->hands_over),
       Probe::span("granted_flag_host", rec->granted_flag_host)};
   const Probe::Span granted = Probe::span("granted", rec->granted);
   const std::uintptr_t line = handoff.front().first_line();
