@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relock/platform/chk_hooks.hpp"
@@ -88,6 +89,12 @@ class Context {
   [[nodiscard]] Priority priority() const { return priority_; }
   void set_priority(Priority p) { priority_ = p; }
   [[nodiscard]] Engine& engine() const { return *engine_; }
+  /// The model thread's pool of persistent waiter records
+  /// (core/waiter.hpp): per model thread, since all of them share one host
+  /// thread.
+  [[nodiscard]] std::unique_ptr<ContextState>& waiter_pool() {
+    return waiter_pool_;
+  }
 
   // Scenario-level oracle annotations: bracket the critical section.
   void cs_enter();
@@ -101,6 +108,7 @@ class Context {
   Engine* engine_;
   ThreadId tid_;
   Priority priority_;
+  std::unique_ptr<ContextState> waiter_pool_;
 };
 
 /// Which fairness oracle applies to a scenario's grants (the active Gamma).
@@ -271,7 +279,7 @@ class Engine {
   };
 
   struct ThreadState {
-    explicit ThreadState(Context c) : ctx(c) {}
+    explicit ThreadState(Context c) : ctx(std::move(c)) {}
     Context ctx;
     std::unique_ptr<sim::Coroutine> coro;
     Status status = Status::kRunnable;

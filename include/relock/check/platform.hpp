@@ -9,7 +9,7 @@
 //
 // kRealConcurrency is true: the checker's whole purpose is to explore the
 // contention machinery (the MCS queue cell every lock-free arrival
-// publishes into, its drain and grantee handover, quiescence epoch,
+// publishes into, its drain and holder-side handover, quiescence epoch,
 // oversubscription escalation) that only
 // compiles in on real-concurrency platforms.
 //

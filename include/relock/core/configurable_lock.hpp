@@ -55,14 +55,13 @@
 // paper's configuration-delay semantics. While quiescent, the releaser
 // selects afresh - a cell pop for the cell-served kinds, else a module
 // select - and publishes ownership with a single store to the successor's
-// waiter-local grant flag. Grantee handover: a cell-served fast release
-// grants the cell's front record without unlinking it and leaves its
-// in-flight count behind; the new owner hands its own successor link to
-// the cell's cursor (or swings the tail back when it is last) and only
-// then retires that count. The releaser's path to the grant store is the
-// cursor on the owner line it already holds, as in MCS, and the cursor is
-// the only thing outside a queue. See DESIGN.md "The configuration-
-// quiescence epoch".
+// waiter-local grant flag. Holder-side handover: a cell-served fast
+// release grants the cell's front record without unlinking it, so the
+// grantee enters its critical section on seeing its grant word and owes
+// nothing; its record stays the front for the whole hold, as an MCS
+// holder's node stays at the head, and its own release unlinks it and
+// reads its successor there. See DESIGN.md "The configuration-quiescence
+// epoch" and "Holder-side handover".
 //
 // One release path: both unlocks check only their arguments and enter
 // end_hold(), which ends the hold (the monitor's hold-time pair), tries
@@ -143,6 +142,7 @@ class ConfigurableLock {
   };
   using RegistryWord =
       std::conditional_t<kRealConcurrency<P>, NoWord, typename P::Word>;
+  using Cell = WaitQueueCell<P>;
 
   /// One per-thread waiting-policy override slot (kRealConcurrency only):
   /// written under meta, read lock-free by registering threads with a
@@ -1020,17 +1020,14 @@ class ConfigurableLock {
     // yield streak. The flag is latched at registration: a waiter that
     // registered non-sleepable never parks, even if the domain becomes
     // oversubscribed mid-wait, because its grant would not wake it.
-    WaiterRecord<P> rec(domain_, ctx.self(), ctx.priority(),
-                        grant_flag_placement(ctx), /*shared=*/false,
-                        policy_may_sleep(attrs, opts_.advisory) ||
-                            P::oversubscribed(ctx));
+    // The record comes from the thread's pool, not its stack: a linked
+    // grant leaves it in the cell for the whole hold (holder_rec_).
+    WaiterPool<P>& pool = WaiterPool<P>::of(ctx);
+    WaiterRecord<P>& rec = pool.take(
+        domain_, ctx.self(), ctx.priority(), grant_flag_placement(ctx),
+        /*shared=*/false,
+        policy_may_sleep(attrs, opts_.advisory) || P::oversubscribed(ctx));
     rec.enqueue_time = t0;
-    // Only an untimed waiter that never sleeps takes a linked grant. A
-    // timed one may have to withdraw, and its timeout resolution waits out
-    // in-flight fast releases under meta - a count it would hold itself
-    // until its handover. A sleepable one is usually parked when granted,
-    // and every configuration would wait for its wake-up.
-    rec.hands_over = deadline == kForever && !rec.may_sleep;
     // A record that may be withdrawn off-queue must never be granted by a
     // fast release racing the withdrawal: conditional waiters break the
     // quiescence epoch for their entire wait. Armed BEFORE the record
@@ -1041,13 +1038,19 @@ class ConfigurableLock {
     if (deadline != kForever) breaker.arm(ctx, *this);
     publish_arrival(ctx, rec);
 
-    if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
-            WaitResult::kGranted ||
-        resolve_timeout_lockfree(ctx, rec) == WaitResult::kGranted) {
-      begin_hold<Hold::kGrant>(ctx, t0);
-      return true;
+    if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) !=
+            WaitResult::kGranted &&
+        resolve_timeout_lockfree(ctx, rec) != WaitResult::kGranted) {
+      pool.put(rec);  // withdrawn
+      return false;
     }
-    return false;
+    // The hold begins with stores to the owner line, which bring it here
+    // for the read below. A linked grant named the record the holder's,
+    // and the hold's release returns it; any other record was unlinked
+    // before its grant.
+    begin_hold<Hold::kGrant>(ctx, t0);
+    if (holder_rec_ != &rec) pool.put(rec);
+    return true;
   }
 
   /// Publishes a contended arrival's record into the queue cell without
@@ -1068,7 +1071,11 @@ class ConfigurableLock {
     note(ctx, LockEvent::kRegistered, ctx.self());
     if (qprev != nullptr) {
       chk_point<P>(ctx, "qa.link");
-      qprev->qnext.store(&rec, std::memory_order_release);
+      // A thread waiter that never sleeps links quick: the releaser that
+      // reads this link on its own record grants it without reading it.
+      qprev->qnext.store(
+          Cell::link(&rec, rec.grant_hook == nullptr && !rec.may_sleep),
+          std::memory_order_release);
     } else {
       chk_point<P>(ctx, "qa.first");
       queue_cell_.first.store(&rec, std::memory_order_release);
@@ -1097,16 +1104,13 @@ class ConfigurableLock {
   }
 
   /// Timeout resolution of a lock-free arrival (MCS-with-timeout
-  /// self-removal). The record may still sit in the cell (its memory is
-  /// the waiter's frame): wait out any fast release that began before the
-  /// breaker was armed (it may have drained, popped or granted the record),
-  /// and any handover still pending from one, then resolve the grant race
-  /// and unlink the record from wherever it lives now - a module, the cell,
-  /// or the orphan queue. The fast path never sets the host-side flag, so
-  /// the waiter-local grant flag is re-checked too; a timed record is never
-  /// granted linked (hands_over is clear), so this waiter holds no count
-  /// the wait below could be waiting for. kGranted leaves the waiter
-  /// counted.
+  /// self-removal). The record may still sit in the cell: wait out any
+  /// fast release that began before the breaker was armed (it may have
+  /// drained, popped or granted the record, linked or not), then resolve
+  /// the grant race and unlink the record from wherever it lives now - a
+  /// module, the cell, or the orphan queue. The fast path never sets the
+  /// host-side flag, so the waiter-local grant flag is re-checked too.
+  /// kGranted leaves the waiter counted.
   WaitResult resolve_timeout_lockfree(Ctx& ctx, WaiterRecord<P>& rec) {
     meta_lock(ctx);
     wait_fast_releases(ctx);
@@ -1261,19 +1265,41 @@ class ConfigurableLock {
       return r;
     };
   }
-  /// The grantee's half of a linked grant (kGrantLinked): moves the cell's
-  /// cursor past its own record - to its successor, or to empty by swinging
-  /// the tail back when it is last - and only then retires the in-flight
-  /// count its granter left, so no configuration, drain or withdrawal
-  /// meets the cell mid-handover. The record may die after this.
-  void hand_over(Ctx& ctx, WaiterRecord<P>& rec) {
-    assert(queue_cursor_ == &rec);
-    [[maybe_unused]] const bool unlinked =
-        queue_cell_.unlink_front(queue_cursor_, rec, cell_await(ctx));
-    assert(unlinked);  // cell_await never gives up
-    chk_point<P>(ctx, "ho.retire");
-    fast_releases_inflight_.fetch_sub(1, std::memory_order_seq_cst);
-    note(ctx, LockEvent::kFastReleaseEnd);
+  /// The holder's half of a linked grant, run by its release as the
+  /// cell's consumer (a fast release in its quiesced epoch, or the guarded
+  /// release under meta) before it drains or picks anything: a hold that
+  /// began with a linked grant still owns its record, which stays the
+  /// cell's front until now unless a drain unlinked it meanwhile. Unlinks
+  /// the record if the cursor still names it - the cursor moves to its
+  /// successor, or the tail swings back to empty when it is last - and
+  /// returns it to the releasing thread's pool.
+  ///
+  /// Returns the new front when the holder's record linked it quick
+  /// (WaitQueueCell::link), else null: the one successor a fast release
+  /// may grant without reading its record.
+  WaiterRecord<P>* release_hold_record(Ctx& ctx) {
+    WaiterRecord<P>* quick = nullptr;
+    if constexpr (kRealConcurrency<P>) {
+      WaiterRecord<P>* const mine = holder_rec_;
+      if (mine == nullptr) return nullptr;
+      holder_rec_ = nullptr;
+      if (queue_cursor_ == mine) {
+        [[maybe_unused]] const bool unlinked =
+            queue_cell_.unlink_front(queue_cursor_, *mine, cell_await(ctx));
+        assert(unlinked);  // cell_await never gives up
+        // The link the unlink followed, awaited if it was in flight, is
+        // still in the record's line; the tail swung back to empty when
+        // there was none.
+        if (queue_cursor_ != nullptr &&
+            Cell::quick(mine->qnext.load(std::memory_order_relaxed))) {
+          quick = queue_cursor_;
+        }
+      }
+      WaiterPool<P>::of(ctx).put(*mine);
+    } else {
+      (void)ctx;
+    }
+    return quick;
   }
 
   /// Meta held, or the module owner: the lock's one drain. When the kind
@@ -1295,18 +1321,22 @@ class ConfigurableLock {
 
   /// Meta held, or the module owner. Moves every record in the cell to
   /// `target` (the orphan queue when null), oldest first; the paced pop
-  /// waits out in-flight links, so no linked waiter is left behind.
+  /// waits out in-flight links, so no linked waiter is left behind. A
+  /// holder's linked record (the front, granted) is unlinked with the
+  /// rest but enlisted nowhere: it waits for nothing, and its release
+  /// finds it unlinked and only returns it to the pool.
   void move_cell(Ctx& ctx, Scheduler<P>* target) {
     const auto await = cell_await(ctx);
     while (WaiterRecord<P>* w = queue_cell_.pop(queue_cursor_, await)) {
-      enlist(*w, target);
+      if (w != holder_rec_ || kSeededEnlistHolder) enlist(*w, target);
     }
   }
 
   /// Meta held, fast releases waited out. Removes a timed-out record from
   /// wherever it is registered: the scheduler module that actually enqueued
   /// it (which may no longer be the current one after a reconfiguration),
-  /// the queue cell, or the orphan queue.
+  /// the queue cell (walking past a holder's linked record at the front),
+  /// or the orphan queue.
   void withdraw(Ctx& ctx, WaiterRecord<P>& rec) {
     if (rec.registered_with != nullptr) {
       rec.registered_with->remove(rec);
@@ -1462,17 +1492,11 @@ class ConfigurableLock {
     }
   }
 
-  /// One probe: true when the lock is now ours. A linked grant is
-  /// completed here, wherever the waiting engine sees it (spinning, or
-  /// after a wake-up): the grantee hands its successor link over.
+  /// One probe: true when the lock is now ours.
   template <Probe K>
   bool probe(Ctx& ctx, WaiterRecord<P>& rec) {
     if constexpr (K == Probe::kGrantFlag) {
-      const std::uint64_t g = P::load(ctx, rec.granted);
-      if constexpr (kRealConcurrency<P>) {
-        if (g == WaiterRecord<P>::kGrantLinked) hand_over(ctx, rec);
-      }
-      return g != 0;
+      return P::load(ctx, rec.granted) != 0;
     } else {
       (void)rec;
       return claimed(P::load(ctx, state_)) &&
@@ -1562,10 +1586,10 @@ class ConfigurableLock {
   // stands down onto the guarded path, or the breaker waits it out and
   // then sees all its module mutations.
 
-  /// Spins until every in-flight fast release has retired, and with it
-  /// every handover a linked grant left pending (the grantee retires its
-  /// granter's count). Meaningful only while the breaker count is nonzero
-  /// (else new fast releases start).
+  /// Spins until every in-flight fast release has retired. Meaningful only
+  /// while the breaker count is nonzero (else new fast releases start).
+  /// It never waits on a hold: a fast release retires its count right
+  /// after its grant store, linked grants included.
   void wait_fast_releases(Ctx& ctx) {
     if constexpr (kRealConcurrency<P>) {
       std::uint32_t streak = 0;
@@ -1648,6 +1672,23 @@ class ConfigurableLock {
     Ctx* ctx_ = nullptr;
   };
 
+  /// Cache hints, issued before the Dekker gate: its locked RMW waits for
+  /// the critical section's stores to drain, and a linked holder's release
+  /// will next miss on its own record's successor link and then on that
+  /// successor's grant word. Loading the link here overlaps both misses
+  /// with the drain. A hint only: the link is read again as the cell's
+  /// consumer, inside the epoch, and a stale one (a withdrawal may relink
+  /// it meanwhile) costs a wasted prefetch.
+  [[gnu::always_inline]] void warm_successor_lines() const noexcept {
+    if constexpr (kRealConcurrency<P> && !kCheckedPlatform<P>) {
+      if (const WaiterRecord<P>* const mine = holder_rec_) {
+        const WaiterRecord<P>* const next =
+            Cell::record(mine->qnext.load(std::memory_order_relaxed));
+        if (next != nullptr) __builtin_prefetch(&next->granted, 1);
+      }
+    }
+  }
+
   /// `began`: the Dekker gate was passed (the checker's fast-release window
   /// opened), so the matching end-of-window event must be reported.
   bool release_fast_abort(Ctx& ctx, bool began) {
@@ -1663,11 +1704,12 @@ class ConfigurableLock {
   /// the guarded path. Exclusivity argument: only the state-word owner runs
   /// a release module, and this path never publishes the word free, so
   /// fast releases are serialized by ownership handoff itself; the Dekker
-  /// gate below excludes them from configuration operations. A linked
-  /// grant extends the exclusion to the grantee's handover: the in-flight
-  /// count passes to the grantee, which retires it once the cell is
-  /// consistent again.
+  /// gate below excludes them from configuration operations. The count is
+  /// retired right after the grant store, a linked grant's too: the
+  /// grantee's record stays the cell's front as the holder's, which every
+  /// other consumer recognises, so nothing ever waits on a hold.
   [[nodiscard]] bool release_fast(Ctx& ctx, ThreadId hint) {
+    warm_successor_lines();
     chk_point<P>(ctx, "fr.enter");
     fast_releases_inflight_.fetch_add(1, std::memory_order_seq_cst);
     chk_point<P>(ctx, "fr.gate");
@@ -1677,6 +1719,7 @@ class ConfigurableLock {
     // Quiescent: configuration is locked out until our in-flight count
     // drops; we own the modules by holding the state word.
     note(ctx, LockEvent::kFastReleaseBegin);
+    WaiterRecord<P>* const quick = release_hold_record(ctx);
     chk_point<P>(ctx, "fr.mod");
     // The guarded path's cases: no module (kNone frees the word and wakes
     // sleepers), a configuration delay to complete, or orphans to serve
@@ -1687,31 +1730,30 @@ class ConfigurableLock {
     }
     drain_cell(ctx);  // no delay: the current module is the arrival target
     chk_point<P>(ctx, "fr.select");
-    WaiterRecord<P>* const succ = pick_successor(ctx, hint, /*fast=*/true);
+    WaiterRecord<P>* const succ =
+        pick_successor(ctx, hint, /*fast=*/true, quick);
     if (succ == nullptr) {
       // Nobody eligible: publishing the word free (and waking barging
       // sleepers) is the guarded path's job.
       return release_fast_abort(ctx, /*began=*/true);
     }
-    // A pick left linked is still the cell's front: the grant is a
-    // handover, and the in-flight count becomes the grantee's to retire.
-    const bool linked = succ == queue_cursor_;
+    // A pick left linked is still the cell's front: it becomes the
+    // holder's record.
     chk_point<P>(ctx, "fr.publish");
-    const Grantee g = grant_exclusive(
-        ctx, *succ, linked ? Grant::kLinked : Grant::kUnlinked);
+    const Grantee g = grant_exclusive(ctx, *succ,
+                                      succ != queue_cursor_ ? Grant::kUnlinked
+                                      : succ == quick       ? Grant::kQuick
+                                                            : Grant::kLinked);
     // The epilogue touches only the in-flight count (hence a counter, not
-    // a flag: it may overlap the new owner's own fast release) - unless
-    // the grant was linked - and, after retiring it, the coroutine
-    // grant-hook delivery.
+    // a flag: it may overlap the new owner's own fast release) and, after
+    // retiring it, the coroutine grant-hook delivery.
     if (g.may_sleep) {
       monitor_.on_wakeup();
       P::unblock(ctx, g.tid);
     }
-    if (!linked || kSeededEarlyRetire) {
-      chk_point<P>(ctx, "fr.retire");
-      fast_releases_inflight_.fetch_sub(1, std::memory_order_seq_cst);
-      if (!linked) note(ctx, LockEvent::kFastReleaseEnd);
-    }
+    chk_point<P>(ctx, "fr.retire");
+    fast_releases_inflight_.fetch_sub(1, std::memory_order_seq_cst);
+    note(ctx, LockEvent::kFastReleaseEnd);
     // Coroutine waiter: deliver the grant to its executor, AFTER the
     // in-flight count retires. The granted flag is published above, so a
     // timeout resolution that drains this release (wait_fast_releases with
@@ -1799,6 +1841,7 @@ class ConfigurableLock {
         return;
       }
     } else {
+      release_hold_record(ctx);
       holders_ = 0;
       writer_held_ = false;
       store_owner(ctx, 0);
@@ -1823,28 +1866,30 @@ class ConfigurableLock {
   }
 
   /// The module owner's successor pick (meta held, or a fast release in a
-  /// quiesced epoch; a current module exists): the cell's front for the
-  /// cell-served kinds - the paced awaits wait out producers' link
-  /// windows, so a linked waiter is never skipped - else the module's
-  /// select into the grant scratch. Returns the first grantee, or null
-  /// when nobody is eligible. A `fast` pick leaves a front record that
-  /// hands over (WaiterRecord::hands_over) linked, for a linked grant, while
-  /// its successor link is not yet visible - the grantee settles it later,
-  /// when the next arrival has usually linked. A visible link is on the
-  /// line the pick reads anyway, so every other front record is unlinked
-  /// before its grant, and its grantee owes no handover. An exclusive
-  /// pick leaves the scratch empty: the new owner may run a fast release -
+  /// quiesced epoch; a current module exists; the releasing holder's own
+  /// record already unlinked): the cell's front for the cell-served kinds
+  /// - the paced awaits wait out producers' link windows, so a linked
+  /// waiter is never skipped - else the module's select into the grant
+  /// scratch. Returns the first grantee, or null when nobody is eligible.
+  /// A `fast` pick leaves a thread's front record linked, for a linked
+  /// grant: it stays the front as the holder's record until the grantee's
+  /// own release. A coroutine's record (grant_hook set) lives in its
+  /// frame, which may die at any time after its hold begins, and guarded
+  /// picks do not link at all, so those records are unlinked before their
+  /// grant. A `quick` front (see release_hold_record) is known to be a
+  /// thread's and is not read. An exclusive pick leaves the scratch
+  /// empty: the new owner may run a fast release -
   /// which selects into the scratch without meta - the instant its grant
   /// lands. A reader batch stays in the scratch for the guarded path to
   /// grant (RW locks never release fast).
   [[nodiscard, gnu::always_inline]] WaiterRecord<P>* pick_successor(
-      Ctx& ctx, ThreadId hint, bool fast) {
+      Ctx& ctx, ThreadId hint, bool fast,
+      const WaiterRecord<P>* quick = nullptr) {
     if (cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
       WaiterRecord<P>* const w =
           queue_cell_.front(queue_cursor_, cell_await(ctx));
       if (w != nullptr &&
-          !(fast && w->hands_over &&
-            w->qnext.load(std::memory_order_acquire) == nullptr)) {
+          !(fast && (w == quick || w->grant_hook == nullptr))) {
         // release_fast grants linked exactly when the pick is still the
         // cursor, so an unlink that gave up would strand this record.
         [[maybe_unused]] const bool unlinked =
@@ -1865,8 +1910,9 @@ class ConfigurableLock {
   }
 
   /// The fields of a grantee its granter still needs after the grant
-  /// store, read before it: from that store on the record (on the
-  /// waiter's stack, or in a suspended coroutine frame) may be gone.
+  /// store, read before it: from that store on the record (pooled, on the
+  /// waiter's stack, or in a suspended coroutine frame) may be reused or
+  /// gone.
   struct Grantee {
     ThreadId tid = kInvalidThread;
     bool may_sleep = false;
@@ -1876,8 +1922,20 @@ class ConfigurableLock {
 
   /// How an exclusive grant is published: by a meta holder (the record is
   /// unlinked), or by a fast release with the record unlinked or still the
-  /// cell's front (a handover).
-  enum class Grant : std::uint8_t { kGuarded, kUnlinked, kLinked };
+  /// cell's front (linked: it becomes holder_rec_) - quick when the link
+  /// to it said it is a thread waiter that never sleeps.
+  enum class Grant : std::uint8_t { kGuarded, kUnlinked, kLinked, kQuick };
+
+  /// Whether anything consumes a grant's tid besides a wake-up: the
+  /// checker's and the tracer's kGranted event, or a recursive lock's
+  /// owner word.
+  [[nodiscard]] bool grant_tid_observed() const noexcept {
+#ifdef RELOCK_TRACE
+    return true;
+#else
+    return kCheckedPlatform<P> || !kRealConcurrency<P> || opts_.recursive;
+#endif
+  }
 
   /// The one exclusive grant publication, used by the fast release and the
   /// guarded release module alike once every module mutation is complete:
@@ -1886,20 +1944,31 @@ class ConfigurableLock {
   /// holder also sets the host-side flag that meta-guarded timeout
   /// resolution reads; the fast release leaves it alone, so the grantee's
   /// handoff line stays clean (lock-free timeout resolution re-checks the
-  /// grant word instead). The stored word is the grant's mode.
+  /// grant word instead). holder_rec_ names the record of a linked grant
+  /// and nothing otherwise.
   [[gnu::always_inline]] Grantee grant_exclusive(Ctx& ctx,
                                                  WaiterRecord<P>& w,
                                                  Grant how) {
-    unregister(w);
-    if (how == Grant::kGuarded) w.granted_flag_host = true;
-    const Grantee g{w.tid, w.may_sleep, w.grant_hook, w.grant_hook_arg};
+    // A quick grant reads no field of the record's handoff line, unless
+    // an observer needs the tid: a quick cell record names no module,
+    // never sleeps and has no hook.
+    Grantee g;
+    if (how != Grant::kQuick) {
+      unregister(w);
+      if (how == Grant::kGuarded) w.granted_flag_host = true;
+      g = Grantee{w.tid, w.may_sleep, w.grant_hook, w.grant_hook_arg};
+    } else if (grant_tid_observed()) {
+      g.tid = w.tid;
+    }
     holders_ = 1;
+    if constexpr (kRealConcurrency<P>) {
+      holder_rec_ =
+          how == Grant::kLinked || how == Grant::kQuick ? &w : nullptr;
+    }
     store_owner(ctx, static_cast<std::uint64_t>(g.tid) + 1);
     monitor_.on_handoff();
     count_departures(1);
-    P::store(ctx, w.granted,
-             how == Grant::kLinked ? WaiterRecord<P>::kGrantLinked
-                                   : WaiterRecord<P>::kGrantUnlinked);
+    P::store(ctx, w.granted, 1);
     note(ctx, LockEvent::kGranted, g.tid);
 #ifdef RELOCK_CHECK_SEEDED_BUG_1
     // Seeded PR 2 bug (TSan-caught): the shared grant scratch is cleared
@@ -2198,21 +2267,33 @@ class ConfigurableLock {
   // ------------------------------------------------- reader-writer -------
 
   bool try_acquire_rw(Ctx& ctx, bool shared) {
-    const Nanos t0 = P::now(ctx);
+    const Nanos t0 = timing_stamp(ctx);
     meta_lock(ctx);
     if (rw_enter_at_once(ctx, shared, t0)) return true;
     meta_unlock(ctx);
     return false;
   }
 
+  /// Clock elision as in acquire(): the timestamp is taken only for the
+  /// monitor's timing sample, and a deadline anchors at arrival - at once
+  /// for an explicit lock_shared_for()/lock_for() timeout, at registration
+  /// for an attribute-configured one.
   bool acquire_rw(Ctx& ctx, bool shared, Nanos timeout_override) {
-    const Nanos t0 = P::now(ctx);
-    if constexpr (!kRealConcurrency<P>) log_registrant(ctx);
+    const Nanos t0 = timing_stamp(ctx);
+    Nanos arrival = t0;
+    if constexpr (kRealConcurrency<P>) {
+      if (timeout_override != 0 && t0 == 0) arrival = P::now(ctx);
+    } else {
+      log_registrant(ctx);
+    }
 
     meta_lock(ctx);
     const LockAttributes attrs = registration_attrs(ctx, timeout_override);
+    // The simulator keeps its entry-time anchor (t0 is always read there).
     const Nanos deadline =
-        attrs.timeout_ns != 0 ? t0 + attrs.timeout_ns : kForever;
+        !kRealConcurrency<P> ? (attrs.timeout_ns != 0 ? t0 + attrs.timeout_ns
+                                                      : kForever)
+                             : arrival_deadline(ctx, attrs, t0, arrival);
     if (rw_enter_at_once(ctx, shared, t0)) return true;
 
     Scheduler<P>* target = arrival_module();
@@ -2310,15 +2391,13 @@ class ConfigurableLock {
   static constexpr std::uint32_t kAdviceChunk = 16;
   /// How long before the owner's announced release waiters resume spinning.
   static constexpr Nanos kAdviceSpinMargin = 60'000;
-  /// Seeded handover bug (relock-check regression only): the fast release
-  /// retires its in-flight count right after the grant store even when the
-  /// grant is linked - a configuration or withdrawal can then meet the cell
-  /// while the grantee is moving the cursor, and the grantee's own retire
-  /// later drives the count below zero.
+  /// Seeded handover bug (relock-check regression only): the cell's drain
+  /// enlists the holder's linked record like a waiter's, so a later
+  /// release grants the holder's thread a second time.
 #ifdef RELOCK_CHECK_SEEDED_BUG_4
-  static constexpr bool kSeededEarlyRetire = true;
+  static constexpr bool kSeededEnlistHolder = true;
 #else
-  static constexpr bool kSeededEarlyRetire = false;
+  static constexpr bool kSeededEnlistHolder = false;
 #endif
 
   // Real-concurrency tuning (used only when kRealConcurrency<P>).
@@ -2417,11 +2496,17 @@ class ConfigurableLock {
   /// Departure half of waiter_count(): records granted or withdrawn. On
   /// the first owner line, which a cell-served fast release touches anyway.
   std::atomic<std::uint32_t> waiters_departed_{0};
-  /// The queue cell's consumer cursor (see WaitQueueCell): the oldest
-  /// linked record not yet granted. On the first owner line, with the
-  /// in-flight count: a fast release reads it there, and a handover's
-  /// grantee writes both before its hold begins on the same line.
+  /// The queue cell's consumer cursor (see WaitQueueCell): its front
+  /// record, the holder's own while a linked grant's hold lasts. On the
+  /// first owner line, with the in-flight count: a fast release reads and
+  /// moves it there.
   WaiterRecord<P>* queue_cursor_ = nullptr;
+  /// The current hold's record when it began with a linked grant
+  /// (kRealConcurrency), else null. Set by the granter, which owns the
+  /// line; the grantee reads it where its hold begins, and its release
+  /// unlinks the record (if the cursor still names it) and returns it to
+  /// the pool. Every other cell consumer skips it: it is nobody's waiter.
+  WaiterRecord<P>* holder_rec_ = nullptr;
   WaiterQueue<P> orphans_;      ///< drained arrivals with no module (meta)
   GrantBatch<P> grant_scratch_; ///< reused by the module owner only
 

@@ -422,7 +422,8 @@ class DistributedQueueScheduler final : public Scheduler<P> {
     for (const Rec* r = *cursor_ != nullptr
                             ? *cursor_
                             : cell_->first.load(std::memory_order_acquire);
-         r != nullptr; r = r->qnext.load(std::memory_order_acquire)) {
+         r != nullptr;
+         r = Cell::record(r->qnext.load(std::memory_order_acquire))) {
       ++n;
     }
     return n;

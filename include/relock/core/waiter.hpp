@@ -1,13 +1,18 @@
 // WaiterRecord: the per-acquisition registration record (paper section 3.2:
-// "a requesting thread registers itself with the lock object"). Lives on the
-// waiting thread's stack. On real-concurrency platforms a contended arrival
-// tail-swaps it into the lock's queue cell without the meta guard; a
-// non-FIFO scheduler module receives it from the cell's drain. On the
-// simulator it is enqueued under the lock's meta guard.
+// "a requesting thread registers itself with the lock object"). On real-
+// concurrency platforms a contended thread arrival takes it from its
+// thread's WaiterPool and tail-swaps it into the lock's queue cell without
+// the meta guard; a non-FIFO scheduler module receives it from the cell's
+// drain. Everywhere else it lives on the waiter's stack (or in a suspended
+// coroutine's frame); on the simulator it is enqueued under the lock's meta
+// guard.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "relock/core/attributes.hpp"
 #include "relock/platform/platform.hpp"
@@ -29,20 +34,14 @@ struct WaiterRecord {
   WaiterRecord(const WaiterRecord&) = delete;
   WaiterRecord& operator=(const WaiterRecord&) = delete;
 
-  /// Grant word the waiter polls / sleeps on: 0 while waiting, else the
-  /// grant's mode. kGrantUnlinked: the granter took the record off every
-  /// queue first, so the grantee owns the lock and nothing more.
-  /// kGrantLinked (fast releases on real platforms only, and only to a
-  /// record with `hands_over` set whose `qnext` the releaser found still
-  /// empty): the record is still the queue cell's front, and the granter
-  /// left its in-flight epoch count behind - the grantee must hand its
-  /// successor link over to the cell's cursor and then retire that count
-  /// before the record may die. With
-  /// WaitPlacement::kWaiterLocal the word sits in the waiter's node memory
-  /// (the "distributed" configuration); otherwise on the lock's home node.
+  /// Grant word the waiter polls / sleeps on: 0 while waiting, 1 once the
+  /// lock is the waiter's. The grantee owes nothing: a fast release may
+  /// leave the record linked as the queue cell's front (a linked grant,
+  /// see ConfigurableLock::holder_rec_), and then the holder's own release
+  /// unlinks it. With WaitPlacement::kWaiterLocal the word sits in the
+  /// waiter's node memory (the "distributed" configuration); otherwise on
+  /// the lock's home node.
   typename P::Word granted;
-  static constexpr std::uint64_t kGrantUnlinked = 1;
-  static constexpr std::uint64_t kGrantLinked = 2;
 
   // The handoff line: every field a releaser reads or writes when it
   // selects and grants this record, besides `granted` itself, so a grant
@@ -51,9 +50,11 @@ struct WaiterRecord {
 
   /// Inline node of the lock's queue cell, which every lock-free arrival
   /// publishes into: the MCS-style successor link, written once by the
-  /// *next* arrival after its tail-swap. nullptr means "no successor visible yet" — whether the
-  /// record is last is decided by comparing against the cell's tail, so no
-  /// pending sentinel is needed.
+  /// *next* arrival after its tail-swap. nullptr means "no successor
+  /// visible yet" — whether the record is last is decided by comparing
+  /// against the cell's tail, so no pending sentinel is needed. A link may
+  /// carry the successor's quick tag (WaitQueueCell::link): read it
+  /// through WaitQueueCell::record.
   std::atomic<WaiterRecord*> qnext{nullptr};
 
   /// The scheduler module this record was registered with (set under the
@@ -81,13 +82,6 @@ struct WaiterRecord {
   Priority priority;
   bool shared;     ///< reader (lock_shared) vs. writer acquisition
   bool may_sleep;  ///< waiting policy can sleep: granter must send a wakeup
-  /// The waiter takes a linked grant (kGrantLinked) and hands its own
-  /// successor link over. Set only by an untimed thread arrival that is
-  /// not sleepable (`may_sleep` clear): a timed record may be withdrawn
-  /// instead, a sleepable waiter is usually parked when granted, and a
-  /// coroutine's frame runs only after an executor hop, so all three are
-  /// unlinked before their grant.
-  bool hands_over = false;
 
   /// Set under the lock's meta guard when the waiter has been dequeued and
   /// granted; used to resolve the timeout-vs-grant race.
@@ -128,20 +122,46 @@ struct WaiterRecord {
 /// same happens-before edges that already order the lock's release
 /// protocol.
 ///
-/// Grantee handover: a consumer may grant the front record without
-/// unlinking it - the lock does when the record's successor link is not
-/// yet visible, so its releaser neither swings the tail nor waits for a
-/// link in flight. Its grantee then runs unlink_front itself, as the
-/// consumer of record, before its record dies (K42-style MCS: the new
-/// owner moves the cursor to its successor, or swings the tail back to
-/// empty when it is last). Until it has, the cursor still names the
-/// granted record; the lock keeps every other consumer away meanwhile.
+/// Holder-side handover: a consumer may grant the front record without
+/// unlinking it - the lock's fast release does, for a thread's pooled
+/// record - so the grantee's record stays the front for the whole hold,
+/// as an MCS holder's node stays at the head. The holder's own release
+/// unlinks it (the cursor moves to its successor, or the tail swings back
+/// to empty when it is last) before picking that successor. Any other
+/// consumer that meets it meanwhile unlinks or walks past it; the lock
+/// tells it apart from its waiters.
 template <Platform P>
 struct WaitQueueCell {
   using Rec = WaiterRecord<P>;
 
   std::atomic<Rec*> tail{nullptr};   ///< last arrival; nullptr = empty
   std::atomic<Rec*> first{nullptr};  ///< first arrival's publication slot
+
+  // Quick links. A producer may publish its record into its predecessor's
+  // qnext with the quick tag in the address's low bit: the record is a
+  // thread waiter that never sleeps, so a releaser that reads the link on
+  // its own record can grant it with one store, without reading the
+  // record's line first (the MCS release: own node, then the successor's
+  // flag). The tag describes the linked record, so it moves with the link
+  // when a removal relinks past a record; the cursor and `first` never
+  // carry it.
+  static_assert(alignof(Rec) >= 2, "the quick tag needs a free low bit");
+  static constexpr std::uintptr_t kQuickTag = 1;
+
+  /// The link publishing `r`, tagged quick when `quick`.
+  [[nodiscard]] static Rec* link(Rec* r, bool quick) noexcept {
+    return quick ? std::bit_cast<Rec*>(std::bit_cast<std::uintptr_t>(r) |
+                                       kQuickTag)
+                 : r;
+  }
+  /// The record a link (tagged or not, or nullptr) names.
+  [[nodiscard]] static Rec* record(Rec* link) noexcept {
+    return std::bit_cast<Rec*>(std::bit_cast<std::uintptr_t>(link) &
+                               ~kQuickTag);
+  }
+  [[nodiscard]] static bool quick(const Rec* link) noexcept {
+    return (std::bit_cast<std::uintptr_t>(link) & kQuickTag) != 0;
+  }
 
   /// Consumer-side emptiness. Exact for consumers: a record is reachable
   /// from the cursor or (transitively) from the published tail, and the
@@ -173,7 +193,7 @@ struct WaitQueueCell {
   /// on a successor's link; h then stays linked.
   template <typename Await>
   bool unlink_front(Rec*& cursor, Rec& h, Await&& await) {
-    Rec* nxt = h.qnext.load(std::memory_order_acquire);
+    Rec* nxt = record(h.qnext.load(std::memory_order_acquire));
     if (nxt == nullptr) {
       // No visible successor: h may be the last node. Swing the tail back
       // to empty; losing the CAS means a producer swapped in behind h, so
@@ -184,7 +204,9 @@ struct WaitQueueCell {
         cursor = nullptr;
         return true;
       }
-      if ((nxt = await("qc.chase", h.qnext)) == nullptr) return false;
+      if ((nxt = record(await("qc.chase", h.qnext))) == nullptr) {
+        return false;
+      }
     }
     cursor = nxt;
     return true;
@@ -207,15 +229,16 @@ struct WaitQueueCell {
     Rec* prev = nullptr;
     Rec* cur = cursor;
     while (cur != &rec) {
-      Rec* nxt = cur->qnext.load(std::memory_order_acquire);
+      Rec* nxt = record(cur->qnext.load(std::memory_order_acquire));
       if (nxt == nullptr) {
         if (tail.load(std::memory_order_seq_cst) == cur) return false;
         // A successor (possibly rec) is mid-link behind cur: wait it out.
-        nxt = await("qc.chase", cur->qnext);
+        nxt = record(await("qc.chase", cur->qnext));
       }
       prev = cur;
       cur = nxt;
     }
+    // rec's own link, tag included: a relink below moves it unchanged.
     Rec* nxt = rec.qnext.load(std::memory_order_acquire);
     if (nxt == nullptr) {
       // No visible successor: rec may be the tail. Pre-clear the
@@ -235,7 +258,7 @@ struct WaitQueueCell {
     if (prev != nullptr) {
       prev->qnext.store(nxt, std::memory_order_release);
     } else {
-      cursor = nxt;
+      cursor = record(nxt);
     }
     return true;
   }
@@ -253,6 +276,54 @@ struct WaitQueueCell {
     first.store(nullptr, std::memory_order_relaxed);
     return true;
   }
+};
+
+/// The thread's pool of persistent waiter records (kRealConcurrency
+/// platforms only). A lock-free thread arrival takes its record here
+/// rather than on its stack, because a linked grant leaves the record in
+/// the lock's queue cell until the hold ends: the holder's release unlinks
+/// it and puts it back. The pool lives on the platform Context, not in a
+/// thread_local, since relock-check's model threads share one host thread.
+/// Records are fungible: one goes back to the pool of the context that
+/// releases its hold. Steady state allocates nothing: a thread needs one
+/// record per lock it holds through a linked grant, plus the one it waits
+/// with. A pool frees the records it holds when its Context dies.
+template <Platform P>
+class WaiterPool final : public ContextState {
+ public:
+  using Rec = WaiterRecord<P>;
+
+  WaiterPool() = default;
+  ~WaiterPool() override {
+    while (free_ != nullptr) delete std::exchange(free_, free_->next);
+  }
+
+  /// The pool of `ctx`'s thread, created on its first contended arrival.
+  [[nodiscard]] static WaiterPool& of(typename P::Context& ctx) {
+    std::unique_ptr<ContextState>& slot = ctx.waiter_pool();
+    if (slot == nullptr) slot = std::make_unique<WaiterPool>();
+    return static_cast<WaiterPool&>(*slot);
+  }
+
+  /// A record constructed from `args`: over a pooled one, else new.
+  template <typename... Args>
+  [[nodiscard]] Rec& take(Args&&... args) {
+    Rec* const r = free_;
+    if (r == nullptr) return *new Rec(std::forward<Args>(args)...);
+    free_ = r->next;
+    std::destroy_at(r);
+    return *std::construct_at(r, std::forward<Args>(args)...);
+  }
+
+  /// Returns a record that no queue links any more. The free list reuses
+  /// the record's meta-queue link, idle while the record is off queues.
+  void put(Rec& r) noexcept {
+    r.next = free_;
+    free_ = &r;
+  }
+
+ private:
+  Rec* free_ = nullptr;
 };
 
 /// Intrusive FIFO of waiter records. All operations require the owning

@@ -3,8 +3,8 @@
 // Lock algorithms call chk_point / chk_event / chk_scratch at every shared-
 // memory transition that does NOT already go through a platform Word
 // operation: the configuration-quiescence epoch counters, the queue
-// cell's tail and publication slots (awaited by its unlinks, a grantee's
-// handover included), the shared grant scratch, and the seqlock attribute
+// cell's tail and publication slots (awaited by its unlinks, a linked
+// holder's own included), the shared grant scratch, and the seqlock attribute
 // slots all live in host-side atomics, so without these hooks a
 // controlled scheduler could not interleave threads between them.
 //

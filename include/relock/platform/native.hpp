@@ -40,12 +40,17 @@ class Context {
   void set_priority(Priority p) noexcept { priority_ = p; }
   [[nodiscard]] Domain& domain() noexcept { return *domain_; }
   [[nodiscard]] Parker& parker() noexcept { return parker_; }
+  /// The thread's pool of persistent waiter records (core/waiter.hpp).
+  [[nodiscard]] std::unique_ptr<ContextState>& waiter_pool() noexcept {
+    return waiter_pool_;
+  }
 
  private:
   Domain* domain_;
   ThreadId id_;
   Priority priority_;
   Parker parker_;
+  std::unique_ptr<ContextState> waiter_pool_;
 };
 
 /// Thread registry. Fixed capacity so that ThreadId -> Parker lookup is a

@@ -27,6 +27,19 @@ using Priority = int;
 
 inline constexpr Priority kDefaultPriority = 0;
 
+/// Per-thread state a lock algorithm keeps on its thread's platform
+/// Context (core/waiter.hpp's WaiterPool), type-erased so that a platform
+/// need not know the algorithm's types. Real-concurrency Contexts own one
+/// such slot and destroy it with themselves; the algorithm creates its
+/// state there on first use.
+class ContextState {
+ public:
+  ContextState() = default;
+  ContextState(const ContextState&) = delete;
+  ContextState& operator=(const ContextState&) = delete;
+  virtual ~ContextState() = default;
+};
+
 /// Memory-placement hint for platform words. On NUMA platforms (the
 /// simulator) this selects the home memory module; the native platform
 /// currently ignores it.

@@ -97,6 +97,10 @@ TEST(RelockCheckDeep, HandoverQuiesce3Bound3) {
   expect_exhaustive(scenarios::handover_quiesce3(), 3);
 }
 
+TEST(RelockCheckDeep, HolderDrain3Bound3) {
+  expect_exhaustive(scenarios::holder_drain3(), 3);
+}
+
 TEST(RelockCheckDeep, QueueConfig2Bound3) {
   expect_exhaustive(scenarios::queue_config2(), 3);
 }

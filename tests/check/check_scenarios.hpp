@@ -63,7 +63,7 @@ inline void lock_cycle(const std::shared_ptr<Lock>& lk, Context& ctx) {
 }
 
 /// Two spinning threads race one FCFS lock: registration, lock-free
-/// arrival, direct handoff, lost-release guard, the grantee handover.
+/// arrival, direct handoff, lost-release guard, the holder-side handover.
 inline Scenario handoff2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("handoff2", kind);
@@ -342,13 +342,14 @@ inline Scenario queue_timeout2() {
   return s;
 }
 
-/// queue_timeout2 with a plain waiter queued ahead of the timed one: once
-/// the plain waiter is granted, the timed waiter's record is the cell's
-/// front (the slot the retired pop-ahead called "staged", hence the name),
-/// so the timeout can land while that record is the cursor's - before,
-/// during or after the plain waiter's handover moves the cursor to it -
-/// and its withdrawal must find it there, against the next release's
-/// unlink and grant of it.
+/// queue_timeout2 with a plain waiter queued ahead of the timed one. The
+/// timed waiter's record sits right behind the plain waiter's, which stays
+/// the cell's front while the plain waiter holds (a linked grant) or is
+/// unlinked first (a guarded one), so the timeout can land while the
+/// timed record is the holder's successor or the cursor's own (the slot
+/// the retired pop-ahead called "staged", hence the name) - before, during
+/// or after the holder's release unlinks its record - and its withdrawal
+/// must find it there, against the next release's grant of it.
 inline Scenario queue_staged_timeout3() {
   Scenario s;
   s.name = "queue_staged_timeout3";
@@ -374,12 +375,13 @@ inline Scenario queue_staged_timeout3() {
   return s;
 }
 
-/// Grantee handover at the tail: the holder's fast release grants the
-/// queued waiter linked, and that grantee is the cell's last record while
-/// a third thread arrives. The arrival's tail swap may land before the
-/// grantee's tail CAS (which then fails, and the grantee waits out the
-/// arrival's link to hand it the cursor), between the swap and the link,
-/// or after the CAS swung the tail back to empty (the arrival then
+/// Holder-side handover at the tail: the first holder's fast release
+/// grants the queued waiter linked, and that grantee's record stays the
+/// cell's last while it holds and a third thread arrives. The arrival's
+/// tail swap may land before the grantee's release unlinks its record
+/// with a tail CAS (which then fails, and the release waits out the
+/// arrival's link to move the cursor to it), between the swap and the
+/// link, or after the CAS swung the tail back to empty (the arrival then
 /// publishes through the first slot). Every ordering must grant the
 /// arrival in FIFO order and leave no record in the cell.
 inline Scenario handover_tail3() {
@@ -408,15 +410,15 @@ inline Scenario handover_tail3() {
   return s;
 }
 
-/// Breakers armed while a linked grant's handover is pending. The holder
-/// releases (a fast release granting the queued untimed waiter linked)
-/// and at once reconfigures its waiting policy: the QuiesceGuard must wait
-/// out the grantee's handover, since the in-flight count is the
-/// grantee's to retire. A timed waiter's lock_for arms its own breaker
-/// around the same window and may time out into a withdrawal that waits
-/// the handover out under meta. No configuration may begin while the
-/// cursor still names the granted record (the epoch-safety oracle), and
-/// no record may be left in the cell.
+/// Breakers armed while a linked holder holds. The first holder releases
+/// (a fast release granting the queued untimed waiter linked) and at once
+/// reconfigures its waiting policy: the QuiesceGuard waits out only fast
+/// releases in flight, never the new holder's hold, though its record is
+/// still the cell's front. A timed waiter's lock_for arms its own breaker
+/// around the same window and may time out into a withdrawal that walks
+/// past the holder's record under meta. No configuration may overlap a
+/// fast release - the grant or the holder's own unlinking release - (the
+/// epoch-safety oracle), and no record may be left in the cell.
 inline Scenario handover_quiesce3() {
   Scenario s;
   s.name = "handover_quiesce3";
@@ -444,6 +446,51 @@ inline Scenario handover_quiesce3() {
       if (lk->waiter_count() != 0) {
         chk->fail_host("handover_quiesce3: a record was stranded in the "
                        "cell");
+      }
+    });
+  };
+  return s;
+}
+
+/// The holder's release, a cell -> kPriorityQueue drain and a withdrawal
+/// behind the holder's record. The first holder's fast release grants the
+/// queued untimed waiter linked, so that waiter's record stays the cell's
+/// front while it holds; the first holder then switches the lock to the
+/// priority module, whose install moves the cell's records onto the
+/// orphan queue and must unlink the holder's record without enlisting it.
+/// A timed waiter queued behind the holder's record may time out before
+/// the drain (its withdrawal walks past the holder's record in the cell),
+/// after it (off the orphan queue), or be granted by the holder's release,
+/// which must find its own record unlinked or unlink it. Every ordering
+/// grants each waiter at most once, in FIFO order across the generations,
+/// and strands nothing. Seeded bug 4 (the drain enlisting the holder's
+/// record) fails here with a grant to the holder's thread.
+inline Scenario holder_drain3() {
+  Scenario s;
+  s.name = "holder_drain3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kFcfs);
+    Engine* chk = &f.engine();
+    f.add_thread(1, [lk](Context& ctx) {
+      lk->lock(ctx);
+      ctx.cs_enter();
+      ctx.cs_exit();
+      CheckPlatform::yield(ctx);
+      lk->unlock(ctx);
+      lk->configure_scheduler(ctx, SchedulerKind::kPriorityQueue);
+    });
+    f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
+    f.add_thread(1, [lk](Context& ctx) {
+      if (lk->lock_for(ctx, 300)) {
+        ctx.cs_enter();
+        ctx.cs_exit();
+        lk->unlock(ctx);
+      }
+    });
+    f.on_finish([lk, chk] {
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("holder_drain3: a record was stranded");
       }
     });
   };

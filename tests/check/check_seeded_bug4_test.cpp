@@ -1,12 +1,13 @@
 // Seeded-bug regression 4: this binary is compiled with
-// -DRELOCK_CHECK_SEEDED_BUG_4, which makes the fast release retire its
-// in-flight count right after its grant store - as it did before grantee
-// handover - while it still grants linked (kGrantLinked). The count is
-// the grantee's to retire once it has moved the cell's cursor past its
-// own record; retired early, it lets a configuration begin while the
-// cursor still names the granted record, and the grantee's own retire
-// later drives the count below zero. relock-check must report the
-// overlap through the epoch-safety oracle, and the trace must replay.
+// -DRELOCK_CHECK_SEEDED_BUG_4, which makes the queue cell's drain enlist
+// a linked holder's record like a waiter's. Under holder-side handover a
+// fast release's grantee keeps its record as the cell's front for its
+// whole hold; a drain that meets it (here the install of a priority
+// module, moving the cell onto the orphan queue) must unlink it and
+// enlist it nowhere. Enlisted, the record is granted again by a later
+// release - a second grant to the holder's thread, which the checker's
+// conservation oracle reports - while its release has already put it
+// back in its pool. relock-check must find it and the trace must replay.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,15 +23,16 @@ namespace {
 
 using namespace relock::chk;
 
-TEST(RelockCheckSeededBug4, DfsFindsConfigurationDuringHandoverAndReplays) {
-  const Scenario s = scenarios::handover_quiesce3();
+TEST(RelockCheckSeededBug4, DfsFindsDrainEnlistingTheHolderAndReplays) {
+  const Scenario s = scenarios::holder_drain3();
   Engine eng;
   DfsStrategy st(/*preemption_bound=*/2);
   const ExploreResult r = eng.explore(s, st);
 
   ASSERT_TRUE(r.failed)
-      << "seeded early-retire bug not detected by DFS(2): " << r.summary();
-  EXPECT_NE(r.failure.find("epoch safety violated"), std::string::npos)
+      << "seeded holder-enlisting drain not detected by DFS(2): "
+      << r.summary();
+  EXPECT_NE(r.failure.find("not a registered waiter"), std::string::npos)
       << r.summary();
   // Assert only a generous bound so engine-order tweaks don't churn this
   // test.
@@ -47,15 +49,13 @@ TEST(RelockCheckSeededBug4, DfsFindsConfigurationDuringHandoverAndReplays) {
   EXPECT_EQ(rep.events, r.events) << "replay event log diverged";
 }
 
-// The bug only bites linked grants: a fast release that unlinks its
-// grantee first (a timed waiter's record, or any module-selected kind)
-// retires at once either way, so the stack twin's handoff, which grants
-// through the priority module, passes every oracle exhaustively.
-TEST(RelockCheckSeededBug4, UnlinkedGrantsStillClean) {
+// The bug only bites a drain that meets a linked holder's record: with
+// no drain at all (a cell-served kind throughout), linked grants and the
+// holder's own unlinking release pass every oracle exhaustively.
+TEST(RelockCheckSeededBug4, UndrainedLinkedHoldsStillClean) {
   Engine eng;
   DfsStrategy st(/*preemption_bound=*/2);
-  const ExploreResult r =
-      eng.explore(scenarios::epoch2(scenarios::kStackFifo), st);
+  const ExploreResult r = eng.explore(scenarios::handover_tail3(), st);
   EXPECT_FALSE(r.failed) << r.summary();
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(st.exhausted());

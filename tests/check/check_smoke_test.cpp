@@ -96,22 +96,28 @@ TEST(RelockCheckSmoke, QueueTimeout2Exhaustive) {
 }
 
 TEST(RelockCheckSmoke, QueueStagedTimeout3Bound2Exhaustive) {
-  // A timed waiter's record withdrawn while it is the cell's front,
-  // racing the handover that moves the cursor to it and the release that
-  // would unlink and grant it.
+  // A timed waiter's record withdrawn right behind the holder's, or as
+  // the cell's front, racing the holder's release that unlinks its own
+  // record and would grant the timed one.
   expect_exhaustive(scenarios::queue_staged_timeout3(), 2);
 }
 
 TEST(RelockCheckSmoke, HandoverTail3Bound2Exhaustive) {
-  // A linked grant's grantee is the cell's tail while a third thread
-  // arrives: the handover's tail CAS against the arrival's swap and link.
+  // A linked holder's record is the cell's tail while a third thread
+  // arrives: its release's tail CAS against the arrival's swap and link.
   expect_exhaustive(scenarios::handover_tail3(), 2);
 }
 
 TEST(RelockCheckSmoke, HandoverQuiesce3Bound2Exhaustive) {
   // configure_waiting and a lock_for waiter arm breakers while a linked
-  // grant's handover is pending: both must wait it out.
+  // holder holds: neither may wait on the hold or overlap a fast release.
   expect_exhaustive(scenarios::handover_quiesce3(), 2);
+}
+
+TEST(RelockCheckSmoke, HolderDrain3Bound2Exhaustive) {
+  // The holder's release, a cell -> kPriorityQueue drain and a timed
+  // waiter's withdrawal behind the holder's linked record.
+  expect_exhaustive(scenarios::holder_drain3(), 2);
 }
 
 TEST(RelockCheckSmoke, QueueConfig2Exhaustive) {

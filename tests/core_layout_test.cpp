@@ -66,7 +66,8 @@ struct LockLayoutProbe {
             span("orphans_", lk.orphans_),
             span("grant_scratch_", lk.grant_scratch_),
             span("waiters_departed_", lk.waiters_departed_),
-            span("queue_cursor_", lk.queue_cursor_)};
+            span("queue_cursor_", lk.queue_cursor_),
+            span("holder_rec_", lk.holder_rec_)};
   }
 
   /// The waiter counts ride lines their writers already own: the arrival
@@ -79,14 +80,15 @@ struct LockLayoutProbe {
                span("departed", lk.waiters_departed_).last_line();
   }
 
-  /// The grantee handover's line: the cell's cursor, which a fast release
-  /// reads before its grant store and the handover's grantee writes, the
-  /// in-flight count the grantee retires, and the hold state its
-  /// begin_hold() writes next, all on one line.
+  /// The holder-side handover's line: the cell's cursor and the holder's
+  /// record, which a fast release reads and writes around its grant
+  /// store, the in-flight count it retires after it, and the hold state
+  /// the grantee's begin_hold() writes next, all on one line.
   static bool handover_on_one_line(const Lock& lk) {
     const std::uintptr_t line = span("cursor", lk.queue_cursor_).first_line();
     for (const Span& s :
          {span("cursor", lk.queue_cursor_),
+          span("holder_rec_", lk.holder_rec_),
           span("inflight", lk.fast_releases_inflight_),
           span("recursion_depth_", lk.recursion_depth_),
           span("full_mode_hold_", lk.full_mode_hold_),
@@ -136,7 +138,7 @@ TEST(LockLayout, ArrivalWordsAvoidOwnerReleaseLines) {
   EXPECT_TRUE(Probe::counts_on_owned_lines(*lk))
       << "a waiter count left the line its writer already owns";
   EXPECT_TRUE(Probe::handover_on_one_line(*lk))
-      << "the cell's cursor left the owner line the handover writes";
+      << "the cell's cursor left the owner line the release writes";
 }
 
 TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
@@ -147,9 +149,9 @@ TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
                                                Placement::any(), false, true);
   ASSERT_EQ(reinterpret_cast<std::uintptr_t>(rec.get()) % kCacheLineSize, 0u);
   // Read or written by a releaser selecting and granting the record: the
-  // cell unlink (qnext), the handover test, the module unregistration, the
-  // grant-hook capture, the guarded grant's host flag and hook chain, and
-  // the priority scan.
+  // cell unlink (qnext), the linked-grant test and grant-hook capture, the
+  // module unregistration, the guarded grant's host flag and hook chain,
+  // and the priority scan.
   const std::vector<Probe::Span> handoff = {
       Probe::span("qnext", rec->qnext),
       Probe::span("registered_with", rec->registered_with),
@@ -160,7 +162,6 @@ TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {
       Probe::span("priority", rec->priority),
       Probe::span("shared", rec->shared),
       Probe::span("may_sleep", rec->may_sleep),
-      Probe::span("hands_over", rec->hands_over),
       Probe::span("granted_flag_host", rec->granted_flag_host)};
   const Probe::Span granted = Probe::span("granted", rec->granted);
   const std::uintptr_t line = handoff.front().first_line();

@@ -121,11 +121,11 @@ TEST_F(QueueFacadeUnit, RemoveHeadMiddleTailAndReuse) {
 }
 
 // ---------------------------------------------------- the cell's cursor --
-// The consumer cursor names the oldest linked record not yet granted.
-// front() leaves that record linked - a fast release grants it that way,
-// and its grantee unlinks it (the handover) - while unlink_front() moves
-// the cursor to the successor, or swings the tail back to empty when the
-// record is last.
+// The consumer cursor names the cell's front record. front() leaves that
+// record linked - a fast release grants it that way, and it stays the
+// front while its grantee holds, until the holder's release unlinks it -
+// while unlink_front() moves the cursor to the successor, or swings the
+// tail back to empty when the record is last.
 
 /// The façade's own consumers never wait; neither does this one.
 SimRec* no_wait(const char*, std::atomic<SimRec*>& slot) {
@@ -165,8 +165,8 @@ TEST_F(QueueFacadeUnit, FrontStaysLinkedUntilUnlinked) {
 }
 
 TEST_F(QueueFacadeUnit, UnlinkFrontOfTheTailAdoptsALateLink) {
-  // The handover's race: the front record is the tail, and a producer has
-  // swapped in behind it but not yet linked. The tail CAS fails, so the
+  // The holder's release race: the front record is the tail, and a
+  // producer has swapped in behind it but not yet linked. The tail CAS fails, so the
   // unlink must wait for the link - here the await lands it - and hand
   // the cursor to the late arrival.
   using Cell = WaitQueueCell<SimPlatform>;
@@ -194,6 +194,33 @@ TEST_F(QueueFacadeUnit, UnlinkFrontOfTheTailAdoptsALateLink) {
   EXPECT_EQ(cursor, &b);
   EXPECT_EQ(cell.tail.load(), &b);
   EXPECT_EQ(sched_.pop_any(), &b);
+  EXPECT_TRUE(sched_.empty());
+}
+
+// A quick link (the lock's publish tags a thread waiter that never
+// sleeps) names its record for every consumer, and a removal that
+// relinks past a record moves the next record's link - tag included -
+// into the predecessor, where the holder's release reads it.
+TEST_F(QueueFacadeUnit, QuickLinksSurviveRemovalAndUnlink) {
+  using Cell = WaitQueueCell<SimPlatform>;
+  Cell& cell = sched_.cell();
+  SimRec*& cursor = sched_.cursor();
+  SimRec& a = make(1);
+  SimRec& b = make(2);
+  SimRec& c = make(3);
+  sched_.enqueue(a);
+  ASSERT_EQ(cell.tail.exchange(&b), &a);
+  a.qnext.store(Cell::link(&b, /*quick=*/true));
+  ASSERT_EQ(cell.tail.exchange(&c), &b);
+  b.qnext.store(Cell::link(&c, /*quick=*/true));
+  EXPECT_EQ(sched_.size(), 3u);
+  ASSERT_TRUE(cell.remove(cursor, b, no_wait));
+  EXPECT_TRUE(Cell::quick(a.qnext.load()));
+  EXPECT_EQ(Cell::record(a.qnext.load()), &c);
+  ASSERT_EQ(cell.front(cursor, no_wait), &a);
+  ASSERT_TRUE(cell.unlink_front(cursor, a, no_wait));
+  EXPECT_EQ(cursor, &c) << "the cursor never carries the tag";
+  EXPECT_EQ(sched_.pop_any(), &c);
   EXPECT_TRUE(sched_.empty());
 }
 
@@ -833,18 +860,17 @@ std::chrono::milliseconds storm_length() {
   return std::chrono::milliseconds(300);
 }
 
-// Linked grants under every kind of interference at once on kFcfs. Three
-// spinning clients are untimed, so fast releases grant them linked and
-// they hand their successor links over - unless they registered while the
-// domain was oversubscribed (six threads on a small host), which makes
-// them sleepable and their grants unlinked. A client with a sleeping
-// policy and a lock_for client are always
-// granted unlinked, between linked grants; the timed one withdraws under
-// meta when it times out. A configuration thread flips kFcfs <-> kQueue and
-// changes the waiting policy: each of those calls waits out pending
-// handovers, and must return within the watchdog. A plain counter under
-// the lock catches a lost update, and the waiter count must read zero at
-// rest.
+// Linked grants under every kind of interference at once on kFcfs. Every
+// client is a thread, so a fast release grants it linked and its record
+// stays the cell's front until its own release unlinks it: three spinning
+// clients, a client with a sleeping policy, and a lock_for client (whose
+// breaker sends most releases down the guarded path, which grants
+// unlinked; it withdraws under meta when it times out, walking past a
+// holder's record). A configuration thread flips kFcfs <-> kQueue and
+// changes the waiting policy: each of those calls waits out in-flight
+// fast releases only, never a hold, and must return within the watchdog.
+// A plain counter under the lock catches a lost update, and the waiter
+// count must read zero at rest.
 TEST(QueueScheduler, HandoverStormWithFlipsAndPolicyChanges) {
   native::Domain dom;
   Lock lk(dom, opts(SchedulerKind::kFcfs));
@@ -899,6 +925,141 @@ TEST(QueueScheduler, HandoverStormWithFlipsAndPolicyChanges) {
   EXPECT_EQ(lk.state(ctx), LockState::kUnlocked);
   lk.lock(ctx);
   lk.unlock(ctx);
+}
+
+// The holder-side handover leaves a linked grantee's record as the cell's
+// front for the whole hold, and nothing may wait on that hold. A waiter is
+// granted by a fast release (linked: it is a thread, and no breaker is
+// armed) and keeps the lock 50 ms. Meanwhile configure_waiting, a switch
+// kFcfs -> kQueue -> kPriorityQueue (the last drains the cell, unlinking
+// the holder's record) and another thread's lock_for(2 ms) must each
+// return while the holder still holds, each under the 2 s watchdog. The
+// holder's release then finds its record unlinked, and the lock keeps
+// working under the priority module.
+TEST(QueueScheduler, LinkedHolderDelaysNoConfigurationOrTimeout) {
+  native::Domain dom;
+  Lock lk(dom, opts(SchedulerKind::kFcfs));
+  native::Context main_ctx(dom);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> released{false};
+  lk.lock(main_ctx);
+  std::thread holder([&] {
+    native::Context ctx(dom);
+    lk.lock(ctx);  // queues behind main: granted by main's fast release
+    holding.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released.store(true, std::memory_order_release);
+    lk.unlock(ctx);
+  });
+  // Queued and marked: main's release is then a fast one, not the fissile
+  // CAS.
+  await([&] {
+    return lk.waiter_count() == 1 && !lk.in_fast_mode(main_ctx);
+  }, true);
+  lk.unlock(main_ctx);
+  await([&] { return holding.load(std::memory_order_acquire); }, true);
+
+  const auto timed = [&](const char* what, const std::function<void()>& op) {
+    const auto start = std::chrono::steady_clock::now();
+    finishes_within(std::chrono::milliseconds(2000), op);
+    const std::chrono::duration<double, std::milli> ms =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(released.load(std::memory_order_acquire))
+        << what << " returned only after the hold ended (" << ms.count()
+        << " ms)";
+  };
+  timed("configure_waiting", [&] {
+    native::Context ctx(dom);
+    lk.configure_waiting(ctx, LockAttributes::backoff_spin(4));
+  });
+  timed("kFcfs -> kQueue", [&] {
+    native::Context ctx(dom);
+    lk.configure_scheduler(ctx, SchedulerKind::kQueue);
+  });
+  timed("kQueue -> kPriorityQueue", [&] {
+    native::Context ctx(dom);
+    lk.configure_scheduler(ctx, SchedulerKind::kPriorityQueue);
+  });
+  timed("lock_for(2 ms)", [&] {
+    native::Context ctx(dom);
+    EXPECT_FALSE(lk.lock_for(ctx, 2'000'000));
+  });
+  finishes_within(std::chrono::milliseconds(2000), [&] { holder.join(); });
+  EXPECT_FALSE(lk.reconfiguration_pending());
+  EXPECT_EQ(lk.scheduler_kind(), SchedulerKind::kPriorityQueue);
+  EXPECT_EQ(lk.waiter_count(), 0u);
+  EXPECT_EQ(lk.state(main_ctx), LockState::kUnlocked);
+  lk.lock(main_ctx);
+  lk.unlock(main_ctx);
+}
+
+// One thread holds three cell-served locks, each through a contended
+// grant (so each hold keeps its own pooled record linked in its lock's
+// cell), and releases them in non-LIFO order while a second thread waits
+// on every one of them. Each release must unlink its own lock's record,
+// hand the lock to the waiter, and return the record to the pool without
+// disturbing the records still linked in the other two cells.
+TEST(QueueScheduler, OneThreadReleasesThreeLinkedHoldsOutOfOrder) {
+  native::Domain dom;
+  Lock a(dom, opts(SchedulerKind::kFcfs));
+  Lock b(dom, opts(SchedulerKind::kQueue));
+  Lock c(dom, opts(SchedulerKind::kFcfs));
+  Lock* const locks[] = {&a, &b, &c};
+  std::atomic<int> owner_stage{0};
+  std::atomic<int> taken{0};
+  long guarded[3] = {0, 0, 0};  // each guarded by its lock alone
+  finishes_within(std::chrono::milliseconds(2000), [&] {
+    native::Context other_ctx(dom);
+    for (Lock* l : locks) l->lock(other_ctx);
+    std::thread owner([&] {
+      native::Context ctx(dom);
+      for (int i = 0; i < 3; ++i) {
+        owner_stage.store(i + 1, std::memory_order_release);
+        locks[i]->lock(ctx);  // queued: granted by the unlock below
+        ++guarded[i];
+      }
+      owner_stage.store(4, std::memory_order_release);
+      // The other thread queues on all three before the releases.
+      await([&] { return taken.load(std::memory_order_acquire) == 3; },
+            true);
+      for (int i : {1, 0, 2}) {
+        const Lock& l = *locks[i];
+        await([&] { return l.waiter_count() == 1; }, true);
+        ++guarded[i];
+        locks[i]->unlock(ctx);
+      }
+    });
+    for (int i = 0; i < 3; ++i) {
+      await([&] {
+        return owner_stage.load(std::memory_order_acquire) > i &&
+               locks[i]->waiter_count() == 1 &&
+               !locks[i]->in_fast_mode(other_ctx);
+      }, true);
+      locks[i]->unlock(other_ctx);
+    }
+    await([&] { return owner_stage.load(std::memory_order_acquire) == 4; },
+          true);
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < 3; ++i) {
+      waiters.emplace_back([&, i] {
+        native::Context ctx(dom);
+        taken.fetch_add(1, std::memory_order_acq_rel);
+        locks[i]->lock(ctx);
+        ++guarded[i];
+        locks[i]->unlock(ctx);
+      });
+    }
+    for (auto& w : waiters) w.join();
+    owner.join();
+  });
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(guarded[i], 3) << "lock " << i;
+    EXPECT_EQ(locks[i]->waiter_count(), 0u) << "lock " << i;
+    native::Context ctx(dom);
+    EXPECT_EQ(locks[i]->state(ctx), LockState::kUnlocked) << "lock " << i;
+    locks[i]->lock(ctx);
+    locks[i]->unlock(ctx);
+  }
 }
 
 }  // namespace

@@ -126,6 +126,58 @@ TEST(ReleaseAllocation, CentralizedSteadyStateIsAllocationFree) {
   run_zero_alloc_window(lock, dom, LockAttributes::combined(200));
 }
 
+// Each worker holds two cell-served locks at once, both usually through
+// linked grants, so its thread keeps up to two pooled waiter records
+// linked in two cells while it waits for or holds the second. However
+// long the workers run, and however the host schedules them, the pools
+// may allocate only what the nesting needs - one pool and two records per
+// worker - and reuse them for every later cycle: a record that never went
+// back to its pool would show as one allocation per cycle.
+TEST(ReleaseAllocation, NestedLinkedHoldsReuseThePooledRecords) {
+  native::Domain dom(16);
+  Lock outer(dom, {.scheduler = SchedulerKind::kFcfs});
+  Lock inner(dom, {.scheduler = SchedulerKind::kQueue});
+  constexpr unsigned kWorkers = 4;
+  constexpr std::uint64_t kCycles = 20'000;
+  std::atomic<unsigned> ready{0};
+  std::atomic<unsigned> finished{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> leave{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kWorkers);
+  for (unsigned t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&] {
+      native::Context ctx(dom);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kCycles; ++i) {
+        outer.lock(ctx);
+        inner.lock(ctx);
+        outer.unlock(ctx);  // non-LIFO: the outer record returns first
+        // Keeps inner past outer's handoff: the next outer holder then
+        // queues on inner, the nesting that needs two records.
+        NativePlatform::compute(ctx, 2'000);
+        inner.unlock(ctx);
+      }
+      finished.fetch_add(1);
+      // The Context (and its pool) outlives the count below.
+      while (!leave.load()) std::this_thread::yield();
+    });
+  }
+  while (ready.load() < kWorkers) std::this_thread::yield();
+  const std::uint64_t before = g_allocations.load(std::memory_order_acquire);
+  go.store(true);
+  while (finished.load() < kWorkers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_acquire);
+  leave.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_LE(after - before, kWorkers * (1 + 2))
+      << "pooled waiter records were not reused across "
+      << kWorkers * kCycles << " nested cycles";
+}
+
 // Alternates two waiting policies so every tick carries a real
 // reconfiguration - the engine's full snapshot/evaluate/possess/configure
 // path runs each pass. Waiting-policy flips only: a scheduler-kind change

@@ -91,6 +91,42 @@ TEST(TimeoutAccuracy, QueuedMonitorOn) {
   expect_timeout_accurate(SchedulerKind::kFcfs, /*monitor_on=*/true);
 }
 
+// A reader-writer lock's timed shared acquire has the same contract. With
+// the monitor off its arrival takes no timestamp (the clock is read only
+// for the monitor's timing sample), so the explicit deadline must be
+// anchored at arrival all the same; a writer holds the lock throughout.
+TEST(TimeoutAccuracy, ReaderWriterSharedMonitorOff) {
+  native::Domain domain;
+  Lock::Options opts;
+  opts.scheduler = SchedulerKind::kReaderWriter;
+  opts.attributes = LockAttributes::blocking();
+  Lock lock(domain, opts);
+
+  std::atomic<bool> held{false};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    native::Context ctx(domain);
+    lock.lock(ctx);
+    held.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+    lock.unlock(ctx);
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  native::Context ctx(domain);
+  const auto start = Clock::now();
+  const bool acquired = lock.lock_shared_for(ctx, kTimeoutNs);
+  const auto elapsed = Clock::now() - start;
+  done.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_FALSE(acquired);
+  EXPECT_GE(elapsed, kTimeout - std::chrono::milliseconds(2));
+  EXPECT_LE(elapsed, kTimeout + kSlack);
+  lock.lock_shared(ctx);
+  lock.unlock_shared(ctx);
+}
+
 // sync/ primitives carry the same contract: the deadline anchors when the
 // timed call ENTERS, before any internal unlock/enqueue work. The CV case
 // is the PR 10 regression - wait_for used to compute its deadline after
