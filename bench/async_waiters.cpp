@@ -18,8 +18,8 @@
 //                  grants post to the manager inbox and drain iteratively,
 //                  so 10k-50k waiters run on ONE thread
 //   manager_timed  same, but every waiter is a timed wait with a deadline
-//                  it must win: adds the standing breaker and the manager
-//                  timer bookkeeping to every grant
+//                  it must win: adds the manager timer bookkeeping to
+//                  every grant
 //   pool           3 workers resume frames (launcher makes 4 threads);
 //                  the grant chain hops releaser -> queue -> worker
 //
@@ -170,7 +170,7 @@ CellResult run_inline_cell(std::uint32_t waiters) {
 /// run_until loop resumes them iteratively - constant stack depth no
 /// matter how many waiters. `timed` routes every waiter through
 /// try_lock_for_async with a deadline it must beat (zero timeouts
-/// allowed), exercising breaker arm/disarm and the manager timer per op.
+/// allowed), exercising the manager timer per op.
 CellResult run_manager_cell(std::uint32_t waiters, bool timed) {
   constexpr Nanos kGenerousTimeout = 3'600'000'000'000;  // 1 hour
   const char* const name = timed ? "manager_timed" : "manager";

@@ -64,7 +64,8 @@ namespace relock::adapt {
 /// already targets: identical waiting attributes, the kind arrivals already
 /// register under, or the installed threshold. Suppressing these skips the
 /// whole possess/configure round-trip - and, on real platforms, the
-/// quiescence break a possession inflicts on every concurrent releaser.
+/// configure's quiescence of the epoch, which waits out every in-flight
+/// fast release and sends the releases meanwhile down the guarded path.
 template <Platform P>
 [[nodiscard]] bool action_is_noop(const ConfigurableLock<P>& lock,
                                   const AdaptAction& action) {

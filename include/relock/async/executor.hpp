@@ -74,7 +74,6 @@ struct AsyncOp {
   bool timed_out = false;  ///< timed wait lost; record already withdrawn
   Nanos timeout;           ///< 0 = untimed
   Nanos deadline = 0;
-  bool breaker_armed = false;
   WaiterRecord<P> rec;
 
   /// Manager-executor plumbing (unused by other executors): the MPSC

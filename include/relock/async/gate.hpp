@@ -2,8 +2,8 @@
 // private arrival, withdrawal, and quiescence machinery. A suspended
 // coroutine cannot run the lock's waiting engine (there is no thread to
 // spin or park), so the gate replays exactly the registration half of the
-// sync protocols - the lock-free tail swap into the queue cell, the breaker
-// arm, the timeout-vs-grant resolution - on behalf of a WaiterRecord whose
+// sync protocols - the lock-free tail swap into the queue cell and the
+// timeout-vs-grant resolution - on behalf of a WaiterRecord whose
 // grant is delivered through WaiterRecord::grant_hook instead of a polled
 // flag.
 //
@@ -41,16 +41,6 @@ struct AsyncGate {
     return lk.rw_capable();
   }
 
-  /// Arms the conditional-waiter breaker for a timed async wait: a record
-  /// that may be withdrawn off-queue must never be fast-granted behind the
-  /// meta guard's back (same contract as the sync paths' BreakerToken).
-  /// Armed BEFORE the record becomes reachable; the timeout resolution
-  /// waits out releases already in flight.
-  static void arm_breaker(Ctx& ctx, Lock& lk) {
-    lk.arm_breaker(ctx, "bt.arm");
-  }
-  static void disarm_breaker(Ctx& ctx, Lock& lk) { lk.disarm_breaker(ctx); }
-
   /// Contended arrival for an exclusive coroutine waiter: the sync
   /// acquire_contended publish protocol, minus the waiting engine. Every
   /// kind publishes into the queue cell. kNone does too: a coroutine cannot
@@ -67,8 +57,7 @@ struct AsyncGate {
 
   /// Reader-writer arrival (mirrors acquire_rw). Returns true when entry
   /// was immediate - the record was never enqueued and the caller resumes
-  /// the frame itself. RW waiters arm no breaker: RW locks never take the
-  /// fast-release path, so there is no epoch to break.
+  /// the frame itself.
   static bool enqueue_rw(Ctx& ctx, Lock& lk, Rec& rec, bool shared) {
     const Nanos t0 = P::now(ctx);
     lk.meta_lock(ctx);
@@ -83,14 +72,13 @@ struct AsyncGate {
   /// self-removal protocol of the sync timed paths. Returns true when the
   /// record was withdrawn (the timeout wins). Returns false when a grant
   /// beat the withdrawal - the granted flag is published before a fast
-  /// release retires from the in-flight epoch, so after wait_fast_releases
-  /// the lock's re-check observes every such grant; the hook delivery may
-  /// still be in flight on the granter (it fires after the retire, outside
-  /// the epoch, so an inline-resumed frame's unlock cannot deadlock against
-  /// this meta-held drain) and arrives as an ordinary grant message for the
-  /// caller to consume normally.
+  /// release retires from the in-flight epoch, so once the resolution's
+  /// QuiesceGuard has drained the epoch the lock's re-check observes every
+  /// such grant; the hook delivery may still be in flight on the granter
+  /// (it fires after the retire, outside the epoch) and arrives as an
+  /// ordinary grant message for the caller to consume normally.
   static bool resolve_timeout(Ctx& ctx, Lock& lk, Rec& rec) {
-    return lk.resolve_timeout_lockfree(ctx, rec) == Lock::WaitResult::kTimedOut;
+    return lk.resolve_timeout(ctx, rec) == Lock::WaitResult::kTimedOut;
   }
 
   /// Post-grant bookkeeping, run on the resumed frame's context: the tail

@@ -141,10 +141,6 @@ class ManagerExecutor final : public Executor<P> {
         return;
       }
     } else {
-      if (op.timeout != 0) {
-        Gate::arm_breaker(ctx, lk);
-        op.breaker_armed = true;
-      }
       Gate::enqueue(ctx, lk, op.rec);
       // A grant can already have fired inside enqueue's lost-release
       // guard; its kGrant message is in our inbox and runs next round.
@@ -156,10 +152,6 @@ class ManagerExecutor final : public Executor<P> {
   }
 
   void resume(Ctx& ctx, Op& op) {
-    if (op.breaker_armed) {
-      Gate::disarm_breaker(ctx, *op.lock);
-      op.breaker_armed = false;
-    }
     op.resume_ctx = &ctx;
     chk_point<P>(ctx, "co.resume");
     op.handle.resume();

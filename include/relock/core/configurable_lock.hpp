@@ -46,13 +46,16 @@
 // only ever executed by a thread that owns the state word - the previous
 // holder, or a thread that won it from free - and the direct-handoff path
 // never publishes the word free, so module ownership passes hand to hand
-// along the grant chain. Second, every *configuration* operation
-// (reconfiguration, possession, threshold change, scheduler swap, timeout
-// withdrawal) announces itself on a host-side breaker count and waits for
-// in-flight fast releases to drain (a Dekker handshake with the releaser's
-// in-flight count) before mutating anything under meta; a releaser that
-// observes a breaker falls back to the guarded slow path - exactly the
-// paper's configuration-delay semantics. While quiescent, the releaser
+// along the grant chain. Second, every mutation of what a fast release
+// reads (a reconfiguration, threshold change, scheduler swap, per-thread
+// override, or a timed waiter's withdrawal at expiry) holds a QuiesceGuard
+// for its span: it announces itself on a host-side breaker count and waits
+// for in-flight fast releases to drain (a Dekker handshake with the
+// releaser's in-flight count) before mutating anything under meta; a
+// releaser that observes a breaker falls back to the guarded slow path -
+// exactly the paper's configuration-delay semantics. Nothing else breaks
+// the epoch: a queued timed waiter and a possession window leave every
+// release fast until they act. While quiescent, the releaser
 // selects afresh - a cell pop for the cell-served kinds, else a module
 // select - and publishes ownership with a single store to the successor's
 // waiter-local grant flag. Holder-side handover: a cell-served fast
@@ -95,7 +98,6 @@
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "relock/core/attributes.hpp"
@@ -126,9 +128,9 @@ struct LockLayoutProbe;
 
 template <Platform P>
 class ConfigurableLock {
-  /// The async front-end replays the arrival, withdrawal, and breaker
-  /// protocols on behalf of suspended coroutines; it needs the same access
-  /// a member acquire path has.
+  /// The async front-end replays the arrival and withdrawal protocols on
+  /// behalf of suspended coroutines; it needs the same access a member
+  /// acquire path has.
   friend struct AsyncGate<P>;
   friend struct LockLayoutProbe<P>;
 
@@ -144,10 +146,10 @@ class ConfigurableLock {
       std::conditional_t<kRealConcurrency<P>, NoWord, typename P::Word>;
   using Cell = WaitQueueCell<P>;
 
-  /// One per-thread waiting-policy override slot (kRealConcurrency only):
-  /// written under meta, read lock-free by registering threads with a
-  /// per-slot seqlock. Fields are relaxed atomics so concurrent torn-read
-  /// candidates are data-race-free; the seq word makes them consistent.
+  /// One per-thread waiting-policy override slot: written under meta, read
+  /// lock-free by registering threads with a per-slot seqlock. Fields are
+  /// relaxed atomics so concurrent torn-read candidates are data-race-free;
+  /// the seq word makes them consistent.
   struct AttrSlot {
     std::atomic<std::uint32_t> seq{0};
     std::atomic<std::uint32_t> spin{0};
@@ -330,12 +332,7 @@ class ConfigurableLock {
   bool try_possess(Ctx& ctx, AttributeClass c) {
     const auto bit = static_cast<std::uint64_t>(c);
     const bool won = (P::fetch_or(ctx, possess_word_, bit) & bit) == 0;
-    if (won) {
-      // Possession opens a reconfiguration window: breaks the quiescence
-      // epoch so releasers stay on the guarded path until it is released.
-      arm_breaker(ctx, "possess.arm");
-      note_trace(ctx, LockEvent::kPossess, bit);
-    }
+    if (won) note_trace(ctx, LockEvent::kPossess, bit);
     return won;
   }
   void possess(Ctx& ctx, AttributeClass c) {
@@ -346,10 +343,7 @@ class ConfigurableLock {
   void release_possession(Ctx& ctx, AttributeClass c) {
     const auto bit = static_cast<std::uint64_t>(c);
     const std::uint64_t prev = P::fetch_and(ctx, possess_word_, ~bit);
-    if ((prev & bit) != 0) {
-      disarm_breaker(ctx, "possess.disarm");
-      note_trace(ctx, LockEvent::kUnpossess, bit);
-    }
+    if ((prev & bit) != 0) note_trace(ctx, LockEvent::kUnpossess, bit);
   }
 
   /// Changes the waiting policy attributes. Cost: one read + one write of
@@ -452,45 +446,40 @@ class ConfigurableLock {
     QuiesceGuard quiesce(ctx, *this);
     meta_lock(ctx);
     note(ctx, LockEvent::kConfigMutateBegin);
-    if constexpr (kRealConcurrency<P>) {
-      // Flat slot array indexed by ThreadId, published via an atomic
-      // pointer. Registering threads read it without the meta guard (the
-      // seed's map lookup forced every arrival through meta); writers here
-      // still serialize on meta and version each slot seqlock-style. The
-      // array covers [0, size) and is regrown (power of two, floor 8) when
-      // an override lands beyond it; superseded arrays are retired, not
-      // freed, because a lock-free reader may still hold one - total
-      // retained memory stays under 2x the final array.
-      AttrSlotArray* arr = attr_slots_.load(std::memory_order_relaxed);
-      if (arr == nullptr || tid >= arr->size) {
-        const std::uint32_t want = std::max<std::uint32_t>(
-            8u, std::bit_ceil(static_cast<std::uint32_t>(tid) + 1u));
-        auto grown = std::make_unique<AttrSlotArray>(
-            arr == nullptr ? want : std::max(want, arr->size));
-        if (arr != nullptr) {
-          for (std::uint32_t i = 0; i < arr->size; ++i) {
-            const AttrSlot& o = arr->slots[i];
-            const LockAttributes a{o.spin.load(std::memory_order_relaxed),
-                                   o.delay.load(std::memory_order_relaxed),
-                                   o.sleep.load(std::memory_order_relaxed),
-                                   o.timeout.load(std::memory_order_relaxed)};
-            slot_write(grown->slots[i], a,
-                       o.valid.load(std::memory_order_relaxed));
-          }
+    // Flat slot array indexed by ThreadId, published via an atomic
+    // pointer. Registering threads read it without the meta guard (the
+    // seed's map lookup forced every arrival through meta); writers here
+    // still serialize on meta and version each slot seqlock-style. The
+    // array covers [0, size) and is regrown (power of two, floor 8) when
+    // an override lands beyond it; superseded arrays are retired, not
+    // freed, because a lock-free reader may still hold one - total
+    // retained memory stays under 2x the final array.
+    AttrSlotArray* arr = attr_slots_.load(std::memory_order_relaxed);
+    if (arr == nullptr || tid >= arr->size) {
+      const std::uint32_t want = std::max<std::uint32_t>(
+          8u, std::bit_ceil(static_cast<std::uint32_t>(tid) + 1u));
+      auto grown = std::make_unique<AttrSlotArray>(
+          arr == nullptr ? want : std::max(want, arr->size));
+      if (arr != nullptr) {
+        for (std::uint32_t i = 0; i < arr->size; ++i) {
+          const AttrSlot& o = arr->slots[i];
+          const LockAttributes a{o.spin.load(std::memory_order_relaxed),
+                                 o.delay.load(std::memory_order_relaxed),
+                                 o.sleep.load(std::memory_order_relaxed),
+                                 o.timeout.load(std::memory_order_relaxed)};
+          slot_write(grown->slots[i], a,
+                     o.valid.load(std::memory_order_relaxed));
         }
-        attr_slots_.store(grown.get(), std::memory_order_release);
-        attr_slot_storage_.push_back(std::move(grown));
-        arr = attr_slots_.load(std::memory_order_relaxed);
       }
-      AttrSlot& s = arr->slots[tid];
-      if (!s.valid.load(std::memory_order_relaxed)) ++attr_override_count_;
-      slot_write(s, attrs, /*valid=*/true);
-      has_thread_attrs_.store(attr_override_count_ != 0,
-                              std::memory_order_relaxed);
-    } else {
-      thread_attrs_[tid] = attrs;
-      has_thread_attrs_.store(true, std::memory_order_relaxed);
+      attr_slots_.store(grown.get(), std::memory_order_release);
+      attr_slot_storage_.push_back(std::move(grown));
+      arr = attr_slots_.load(std::memory_order_relaxed);
     }
+    AttrSlot& s = arr->slots[tid];
+    if (!s.valid.load(std::memory_order_relaxed)) ++attr_override_count_;
+    slot_write(s, attrs, /*valid=*/true);
+    has_thread_attrs_.store(attr_override_count_ != 0,
+                            std::memory_order_relaxed);
     note(ctx, LockEvent::kConfigMutateEnd);
     meta_unlock(ctx);
   }
@@ -498,20 +487,14 @@ class ConfigurableLock {
     QuiesceGuard quiesce(ctx, *this);
     meta_lock(ctx);
     note(ctx, LockEvent::kConfigMutateBegin);
-    if constexpr (kRealConcurrency<P>) {
-      AttrSlotArray* arr = attr_slots_.load(std::memory_order_relaxed);
-      if (arr != nullptr && tid < arr->size &&
-          arr->slots[tid].valid.load(std::memory_order_relaxed)) {
-        --attr_override_count_;
-        slot_write(arr->slots[tid], LockAttributes{}, /*valid=*/false);
-      }
-      has_thread_attrs_.store(attr_override_count_ != 0,
-                              std::memory_order_relaxed);
-    } else {
-      thread_attrs_.erase(tid);
-      has_thread_attrs_.store(!thread_attrs_.empty(),
-                              std::memory_order_relaxed);
+    AttrSlotArray* arr = attr_slots_.load(std::memory_order_relaxed);
+    if (arr != nullptr && tid < arr->size &&
+        arr->slots[tid].valid.load(std::memory_order_relaxed)) {
+      --attr_override_count_;
+      slot_write(arr->slots[tid], LockAttributes{}, /*valid=*/false);
     }
+    has_thread_attrs_.store(attr_override_count_ != 0,
+                            std::memory_order_relaxed);
     note(ctx, LockEvent::kConfigMutateEnd);
     meta_unlock(ctx);
   }
@@ -745,39 +728,31 @@ class ConfigurableLock {
   }
 
   /// Effective attributes for a registering thread: the per-thread override
-  /// if one exists, else the lock-wide attributes. On real-concurrency
-  /// platforms this reads the flat slot array and is safe without the meta
-  /// guard (seqlock-validated); on simulated platforms the caller holds
-  /// meta and the map is consulted directly.
+  /// if one exists, else the lock-wide attributes. Reads the flat slot
+  /// array, safe without the meta guard (seqlock-validated).
   [[nodiscard]] LockAttributes effective_attrs_for(ThreadId tid) {
     if (!has_thread_attrs_.load(std::memory_order_relaxed)) {
       return load_attrs();
     }
-    if constexpr (kRealConcurrency<P>) {
-      AttrSlotArray* arr = attr_slots_.load(std::memory_order_acquire);
-      // A thread past the array's end has no override by construction:
-      // setting one grows the array to cover its ThreadId first.
-      if (arr == nullptr || tid >= arr->size) return load_attrs();
-      AttrSlot& s = arr->slots[tid];
-      for (;;) {
-        const std::uint32_t v1 = s.seq.load(std::memory_order_acquire);
-        if ((v1 & 1u) != 0) continue;  // write in flight
-        const bool valid = s.valid.load(std::memory_order_relaxed);
-        const LockAttributes a{s.spin.load(std::memory_order_relaxed),
-                               s.delay.load(std::memory_order_relaxed),
-                               s.sleep.load(std::memory_order_relaxed),
-                               s.timeout.load(std::memory_order_relaxed)};
-        // Fence-free validation: the RMW's release half keeps the field
-        // loads above from sinking past it. Uncontended - each thread reads
-        // only its own slot; only a rare configuration write collides.
-        if (s.seq.fetch_add(0, std::memory_order_acq_rel) == v1) {
-          return valid ? a : load_attrs();
-        }
+    AttrSlotArray* arr = attr_slots_.load(std::memory_order_acquire);
+    // A thread past the array's end has no override by construction:
+    // setting one grows the array to cover its ThreadId first.
+    if (arr == nullptr || tid >= arr->size) return load_attrs();
+    AttrSlot& s = arr->slots[tid];
+    for (;;) {
+      const std::uint32_t v1 = s.seq.load(std::memory_order_acquire);
+      if ((v1 & 1u) != 0) continue;  // write in flight
+      const bool valid = s.valid.load(std::memory_order_relaxed);
+      const LockAttributes a{s.spin.load(std::memory_order_relaxed),
+                             s.delay.load(std::memory_order_relaxed),
+                             s.sleep.load(std::memory_order_relaxed),
+                             s.timeout.load(std::memory_order_relaxed)};
+      // Fence-free validation: the RMW's release half keeps the field
+      // loads above from sinking past it. Uncontended - each thread reads
+      // only its own slot; only a rare configuration write collides.
+      if (s.seq.fetch_add(0, std::memory_order_acq_rel) == v1) {
+        return valid ? a : load_attrs();
       }
-    } else {
-      auto it = thread_attrs_.find(tid);  // caller holds meta
-      if (it != thread_attrs_.end()) return it->second;
-      return load_attrs();
     }
   }
 
@@ -1028,19 +1003,11 @@ class ConfigurableLock {
         /*shared=*/false,
         policy_may_sleep(attrs, opts_.advisory) || P::oversubscribed(ctx));
     rec.enqueue_time = t0;
-    // A record that may be withdrawn off-queue must never be granted by a
-    // fast release racing the withdrawal: conditional waiters break the
-    // quiescence epoch for their entire wait. Armed BEFORE the record
-    // becomes reachable, so any fast release that could select this record
-    // either sees the breaker and stands down, or is already in flight and
-    // is waited out by the timeout resolution.
-    BreakerToken breaker;
-    if (deadline != kForever) breaker.arm(ctx, *this);
     publish_arrival(ctx, rec);
 
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) !=
             WaitResult::kGranted &&
-        resolve_timeout_lockfree(ctx, rec) != WaitResult::kGranted) {
+        resolve_timeout(ctx, rec) != WaitResult::kGranted) {
       pool.put(rec);  // withdrawn
       return false;
     }
@@ -1103,17 +1070,20 @@ class ConfigurableLock {
     }
   }
 
-  /// Timeout resolution of a lock-free arrival (MCS-with-timeout
-  /// self-removal). The record may still sit in the cell: wait out any
-  /// fast release that began before the breaker was armed (it may have
-  /// drained, popped or granted the record, linked or not), then resolve
-  /// the grant race and unlink the record from wherever it lives now - a
-  /// module, the cell, or the orphan queue. The fast path never sets the
-  /// host-side flag, so the waiter-local grant flag is re-checked too.
-  /// kGranted leaves the waiter counted.
-  WaitResult resolve_timeout_lockfree(Ctx& ctx, WaiterRecord<P>& rec) {
+  /// Timeout resolution (MCS-with-timeout self-removal) of every timed
+  /// wait: a lock-free arrival's, a meta-guarded registration's, and the
+  /// async gate's. Until its deadline the record is an ordinary waiter
+  /// that any fast release may drain, pop or grant, linked or not. At
+  /// expiry the waiter quiesces the epoch - no fast release begins, and
+  /// those in flight (which may have granted the record) are waited out -
+  /// then resolves the grant race under meta and unlinks the record from
+  /// wherever it lives now: a module, the cell, or the orphan queue. A
+  /// guarded grant sets the host-side flag; the fast path sets only the
+  /// waiter-local grant flag, so that is re-checked too. kGranted leaves
+  /// the waiter counted.
+  WaitResult resolve_timeout(Ctx& ctx, WaiterRecord<P>& rec) {
+    QuiesceGuard quiesce(ctx, *this);
     meta_lock(ctx);
-    wait_fast_releases(ctx);
     if (rec.granted_flag_host || P::load(ctx, rec.granted) != 0) {
       meta_unlock(ctx);
       return WaitResult::kGranted;
@@ -1141,7 +1111,7 @@ class ConfigurableLock {
 
     if (wait<Probe::kGrantFlag>(ctx, rec, attrs, deadline) ==
             WaitResult::kGranted ||
-        resolve_timeout_guarded(ctx, rec) == WaitResult::kGranted) {
+        resolve_timeout(ctx, rec) == WaitResult::kGranted) {
       if (shared) {
         begin_hold<Hold::kSharedGrant>(ctx, t0);
       } else {
@@ -1150,19 +1120,6 @@ class ConfigurableLock {
       return true;
     }
     return false;
-  }
-
-  /// Timeout resolution of a meta-guarded registration: every grant is
-  /// made under meta and sets the host-side flag, so one check under meta
-  /// settles the race. kGranted leaves the waiter counted.
-  WaitResult resolve_timeout_guarded(Ctx& ctx, WaiterRecord<P>& rec) {
-    meta_lock(ctx);
-    if (rec.granted_flag_host) {
-      meta_unlock(ctx);
-      return WaitResult::kGranted;
-    }
-    withdraw(ctx, rec);
-    return timed_out(ctx, rec);
   }
 
   /// Meta held, record withdrawn: the timeout wins. Releases meta. A
@@ -1244,9 +1201,8 @@ class ConfigurableLock {
   // thread and open no windows. The consumer role itself is exclusive: it
   // belongs to the state-word owner (fast releases, grant_or_free behind a
   // claim) or to meta-holders with no fast release in flight
-  // (configuration under a quiesced epoch, timeout resolution after
-  // wait_fast_releases), and those two regimes exclude each other exactly
-  // as module ops always have.
+  // (configuration and timeout resolution, each under a QuiesceGuard), and
+  // those two regimes exclude each other exactly as module ops always have.
   // Unlike the façade's non-waiting operations, these wait out producers'
   // two-store publication windows with gated spins: the producer's very
   // next platform access after linking (the arr.mark fetch_or) re-enables
@@ -1577,99 +1533,52 @@ class ConfigurableLock {
   }
 
   // -------------------------------- configuration-quiescence epoch -------
-  // kRealConcurrency only (the simulator has no fast release; all of this
-  // is discarded or a no-op there). Protocol: a fast releaser increments
-  // its in-flight count then checks the breaker count; a configuration
-  // operation increments the breaker count then waits for in-flight
-  // releases to drain. Both sides use sequentially consistent RMWs/loads
-  // (Dekker), so at least one observes the other: either the releaser
-  // stands down onto the guarded path, or the breaker waits it out and
-  // then sees all its module mutations.
+  // kRealConcurrency only (the simulator has no fast release; the guard is
+  // a no-op there). Protocol: a fast releaser increments its in-flight
+  // count then checks the breaker count; a QuiesceGuard increments the
+  // breaker count then waits for in-flight releases to drain. Both sides
+  // use sequentially consistent RMWs/loads (Dekker), so at least one
+  // observes the other: either the releaser stands down onto the guarded
+  // path, or the guard waits it out and then sees all its module
+  // mutations.
 
-  /// Spins until every in-flight fast release has retired. Meaningful only
-  /// while the breaker count is nonzero (else new fast releases start).
-  /// It never waits on a hold: a fast release retires its count right
-  /// after its grant store, linked grants included.
-  void wait_fast_releases(Ctx& ctx) {
-    if constexpr (kRealConcurrency<P>) {
-      std::uint32_t streak = 0;
-      for (;;) {
-        chk_point<P>(ctx, "epoch.check");
-        if (fast_releases_inflight_.load(std::memory_order_acquire) == 0) {
-          break;
-        }
-        spin_step(ctx, streak);
-      }
-    } else {
-      (void)ctx;
-    }
-  }
-
-  /// Arms one breaker: no fast release begins until the matching
-  /// disarm_breaker(). `point` names the scheduling point announcing the
-  /// arm. A disarm announces one only when given a name: destructors pass
-  /// none, because they must not throw the checker's unwind exception.
-  void arm_breaker(Ctx& ctx, const char* point) {
-    if constexpr (kRealConcurrency<P>) {
-      chk_point<P>(ctx, point);
-      quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
-      note(ctx, LockEvent::kBreakerArm);
-    } else {
-      (void)ctx;
-      (void)point;
-    }
-  }
-  void disarm_breaker(Ctx& ctx, const char* point = nullptr) {
-    if constexpr (kRealConcurrency<P>) {
-      if (point != nullptr) chk_point<P>(ctx, point);
-      quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
-      note(ctx, LockEvent::kBreakerDisarm);
-    } else {
-      (void)ctx;
-      (void)point;
-    }
-  }
-
-  /// RAII configuration breaker: holds the fast path off (and waits out
-  /// in-flight fast releases) so the caller may mutate scheduler modules,
-  /// thresholds or attribute slots under meta.
+  /// The one quiescence breaker, held for the span of one mutation under
+  /// meta - a configuration change or a timeout withdrawal: no fast release
+  /// begins until it is destroyed, and the constructor waits out those in
+  /// flight. It never waits on a hold: a fast release retires its count
+  /// right after its grant store, linked grants included. The destructor
+  /// announces no scheduling point: it must not throw the checker's unwind
+  /// exception.
   class QuiesceGuard {
    public:
     QuiesceGuard(Ctx& ctx, ConfigurableLock& lock) : ctx_(ctx), lock_(lock) {
-      lock_.arm_breaker(ctx, "qg.arm");
-      lock_.wait_fast_releases(ctx);
+      if constexpr (kRealConcurrency<P>) {
+        chk_point<P>(ctx, "qg.arm");
+        lock_.quiesce_breakers_.fetch_add(1, std::memory_order_seq_cst);
+        lock_.note(ctx, LockEvent::kBreakerArm);
+        std::uint32_t streak = 0;
+        for (;;) {
+          chk_point<P>(ctx, "epoch.check");
+          if (lock_.fast_releases_inflight_.load(std::memory_order_acquire) ==
+              0) {
+            break;
+          }
+          spin_step(ctx, streak);
+        }
+      }
     }
-    ~QuiesceGuard() { lock_.disarm_breaker(ctx_); }
+    ~QuiesceGuard() {
+      if constexpr (kRealConcurrency<P>) {
+        lock_.quiesce_breakers_.fetch_sub(1, std::memory_order_seq_cst);
+        lock_.note(ctx_, LockEvent::kBreakerDisarm);
+      }
+    }
     QuiesceGuard(const QuiesceGuard&) = delete;
     QuiesceGuard& operator=(const QuiesceGuard&) = delete;
 
    private:
     Ctx& ctx_;
     ConfigurableLock& lock_;
-  };
-
-  /// Non-waiting breaker, armed by conditional (timeout-capable) waiters
-  /// for the duration of their wait: a record that may be withdrawn
-  /// off-queue must not be fast-granted behind the meta guard's back.
-  /// Unlike QuiesceGuard it does not wait out in-flight releases at arm
-  /// time - the timeout resolution does, under meta.
-  class BreakerToken {
-   public:
-    BreakerToken() = default;
-    void arm(Ctx& ctx, ConfigurableLock& lock) {
-      lock_ = &lock;
-      ctx_ = &ctx;
-      lock.arm_breaker(ctx, "bt.arm");
-    }
-    ~BreakerToken() {
-      if (lock_ != nullptr) lock_->disarm_breaker(*ctx_);
-    }
-    BreakerToken(const BreakerToken&) = delete;
-    BreakerToken& operator=(const BreakerToken&) = delete;
-
-   private:
-    ConfigurableLock* lock_ = nullptr;
-    Ctx* ctx_ = nullptr;
   };
 
   /// Cache hints, issued before the Dekker gate: its locked RMW waits for
@@ -1756,14 +1665,13 @@ class ConfigurableLock {
     note(ctx, LockEvent::kFastReleaseEnd);
     // Coroutine waiter: deliver the grant to its executor, AFTER the
     // in-flight count retires. The granted flag is published above, so a
-    // timeout resolution that drains this release (wait_fast_releases with
-    // meta held) re-checks the flag, observes the grant, and stands down to
-    // consume the - possibly still in-flight - delivery. Firing the hook
-    // inside the in-flight window would deadlock an inline executor: the
-    // resumed frame's unlock (forced onto the guarded path by the contended
-    // bit) blocks on meta while the meta holder spins on the in-flight
-    // count. The hook is the last touch of the record - the resumed frame
-    // owns it.
+    // timeout resolution whose QuiesceGuard drains this release re-checks
+    // the flag under meta, observes the grant, and stands down to consume
+    // the - possibly still in-flight - delivery. Firing the hook inside the
+    // in-flight window would deadlock an inline executor: a resumed frame
+    // that quiesces the epoch (a reconfiguration, or a timed wait's own
+    // resolution) would spin on the very count its resumer still holds.
+    // The hook is the last touch of the record - the resumed frame owns it.
     if (g.hook != nullptr) g.hook(g.hook_arg, ctx);
     // Oversubscribed processor: give the grantee a chance to run now
     // rather than after our quantum expires re-contending the lock.
@@ -2512,10 +2420,9 @@ class ConfigurableLock {
 
   alignas(kCacheLineSize) WaiterQueue<P> sleepers_;  ///< kNone sleepers (meta)
 
-  // Per-thread waiting-policy overrides. Simulated platforms: map, guarded
-  // by meta. kRealConcurrency platforms: lazily allocated flat slot array
-  // indexed by ThreadId, written under meta, read lock-free.
-  std::unordered_map<ThreadId, LockAttributes> thread_attrs_;
+  // Per-thread waiting-policy overrides: a lazily allocated flat slot
+  // array indexed by ThreadId, written under meta, read lock-free. Host
+  // state on every platform: the simulator prices no access to it.
   /// Current + retired slot arrays (meta). Retired arrays stay alive for
   /// the lock's lifetime: a reader may still hold their pointer.
   std::vector<std::unique_ptr<AttrSlotArray>> attr_slot_storage_;

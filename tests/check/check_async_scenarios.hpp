@@ -22,8 +22,8 @@ namespace relock::chk::scenarios {
 /// scheduler reconfiguration: the grant hook may fire from the holder's
 /// fast release or the FCFS module, the manager's timer may withdraw the
 /// record first (the async analogue of MCS-with-timeout self-removal,
-/// with the standing breaker pinning the lock out of fissile mode), and
-/// the kFcfs -> kPriorityQueue swap's quiescence epoch overlaps both.
+/// which quiesces the epoch only at expiry), and the kFcfs ->
+/// kPriorityQueue swap's quiescence epoch overlaps both.
 /// kNone fairness: the reconfiguration splits generations and a timed
 /// waiter may withdraw, so only conservation / exclusion / epoch oracles
 /// apply.
@@ -66,11 +66,14 @@ inline Scenario async_grant2() {
 
 /// Regression (review finding, PR 10): the fissile fast release must fire
 /// the coroutine grant hook only AFTER retiring from the in-flight epoch.
-/// An inline-executed frame unlocks through the meta-guarded path (its
-/// arrival set the contended bit), so with the hook still inside the
-/// epoch that unlock blocks on meta while a timed waiter holds meta
-/// spinning in wait_fast_releases on the never-retiring count - a
-/// deadlock schedule that blows the step budget under the old ordering.
+/// With the hook still inside the epoch an inline-executed frame runs
+/// while its resumer's in-flight count is up, so anything in the frame
+/// that quiesces the epoch spins on a count that cannot retire: here the
+/// frame reconfigures its waiting policy (to the one it already has)
+/// before it unlocks, and under the wrong ordering its QuiesceGuard blows
+/// the step budget. The frame must quiesce itself: the timed waiter's
+/// resolution quiesces before it takes meta, so a frame that only
+/// unlocks (guarded, through meta) gets past it either way.
 /// Holder + untimed inline-executor coroutine + sync lock_for on one
 /// FCFS blocking lock (blocking so the timed waiter parks and the DFS can
 /// fire its timeout as an action mid-release - a spinning waiter would
@@ -90,13 +93,14 @@ inline Scenario async_inline2() {
       lk->lock(ctx);
       async::InlineExecutor<CheckPlatform> inl;
       async::AsyncLock<CheckPlatform> alk(*lk, inl);
-      async::Task t = [](async::AsyncLock<CheckPlatform>& alk_,
+      async::Task t = [](Lock& lk_, async::AsyncLock<CheckPlatform>& alk_,
                          Context& launch) -> async::Task {
         async::AsyncGrant<CheckPlatform> g = co_await alk_.lock_async(launch);
         g.ctx().cs_enter();
         g.ctx().cs_exit();
+        lk_.configure_waiting(g.ctx(), LockAttributes::blocking());
         g.unlock();
-      }(alk, ctx);
+      }(*lk, alk, ctx);
       ctx.cs_enter();
       ctx.cs_exit();
       CheckPlatform::yield(ctx);
@@ -108,7 +112,7 @@ inline Scenario async_inline2() {
     });
     f.add_thread(1, [lk](Context& ctx) {
       // The sync timed wait whose withdrawal drains the in-flight epoch
-      // under meta - the other half of the old deadlock.
+      // at expiry, racing the frame's grant and its reconfiguration.
       if (lk->lock_for(ctx, 300)) {
         ctx.cs_enter();
         ctx.cs_exit();

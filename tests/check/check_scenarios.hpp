@@ -119,7 +119,8 @@ inline Scenario epoch2(SchedulerKind kind = SchedulerKind::kFcfs) {
 }
 
 /// Possession protocol around a reconfiguration vs. a contended cycle:
-/// try_possess arms the quiescence breaker for the whole window.
+/// possession itself leaves the epoch alone; only the configure_waiting
+/// inside the window quiesces it, for that call's span.
 inline Scenario possess2() {
   Scenario s;
   s.name = "possess2";
@@ -138,8 +139,9 @@ inline Scenario possess2() {
 }
 
 /// A conditional (timed) acquisition races the holder's release: the
-/// timeout may fire before, during, or after the grant; withdrawal
-/// soundness and the timed waiter's standing breaker are the targets.
+/// timeout may fire before, during, or after the grant (a fast release may
+/// grant the timed waiter like any other); withdrawal soundness and the
+/// expiry's QuiesceGuard are the targets.
 inline Scenario timeout2(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("timeout2", kind);
@@ -414,11 +416,12 @@ inline Scenario handover_tail3() {
 /// (a fast release granting the queued untimed waiter linked) and at once
 /// reconfigures its waiting policy: the QuiesceGuard waits out only fast
 /// releases in flight, never the new holder's hold, though its record is
-/// still the cell's front. A timed waiter's lock_for arms its own breaker
-/// around the same window and may time out into a withdrawal that walks
-/// past the holder's record under meta. No configuration may overlap a
-/// fast release - the grant or the holder's own unlinking release - (the
-/// epoch-safety oracle), and no record may be left in the cell.
+/// still the cell's front. A timed waiter's lock_for races the same
+/// window and may time out into a withdrawal, under its own QuiesceGuard,
+/// that walks past the holder's record under meta. No configuration may
+/// overlap a fast release - the grant or the holder's own unlinking
+/// release - (the epoch-safety oracle), and no record may be left in the
+/// cell.
 inline Scenario handover_quiesce3() {
   Scenario s;
   s.name = "handover_quiesce3";
@@ -676,14 +679,14 @@ inline Scenario advisory3(SchedulerKind kind = SchedulerKind::kFcfs) {
   return s;
 }
 
-/// Guarded-handoff window: a bare possession window (breaker armed, no
-/// configuration) straddling the holder's release forces it off the
-/// fissile release onto the guarded path while a waiter is queued, so
-/// grant_or_free's exclusive handoff can overlap the new owner's own fast
-/// release once the breaker disarms - the window of seeded bug 1. (The
-/// plain fanout3 can no longer reach that overlap: with no breaker armed,
-/// a releaser that would have taken the select-empty guarded detour now
-/// short-circuits at the fissile held->free CAS.)
+/// Guarded-handoff window: a waiting-policy reconfiguration (its
+/// QuiesceGuard armed for the call's span) straddling the holder's release
+/// forces it off the fissile release onto the guarded path while a waiter
+/// is queued, so grant_or_free's exclusive handoff can overlap the new
+/// owner's own fast release once the guard disarms - the window of seeded
+/// bug 1. (The plain fanout3 can no longer reach that overlap: with no
+/// breaker armed, a releaser that would have taken the select-empty
+/// guarded detour now short-circuits at the fissile held->free CAS.)
 inline Scenario guarded3(SchedulerKind kind = SchedulerKind::kFcfs) {
   Scenario s;
   s.name = fifo_name("guarded3", kind);
@@ -694,9 +697,7 @@ inline Scenario guarded3(SchedulerKind kind = SchedulerKind::kFcfs) {
       f.add_thread(1, [lk](Context& ctx) { lock_cycle(lk, ctx); });
     }
     f.add_thread(1, [lk](Context& ctx) {
-      if (lk->try_possess(ctx, AttributeClass::kWaitingPolicy)) {
-        lk->release_possession(ctx, AttributeClass::kWaitingPolicy);
-      }
+      lk->configure_waiting(ctx, LockAttributes::spin());
     });
   };
   return s;

@@ -109,8 +109,9 @@ TEST(RelockCheckSmoke, HandoverTail3Bound2Exhaustive) {
 }
 
 TEST(RelockCheckSmoke, HandoverQuiesce3Bound2Exhaustive) {
-  // configure_waiting and a lock_for waiter arm breakers while a linked
-  // holder holds: neither may wait on the hold or overlap a fast release.
+  // configure_waiting and a lock_for waiter's expiry quiesce the epoch
+  // while a linked holder holds: neither may wait on the hold or overlap a
+  // fast release.
   expect_exhaustive(scenarios::handover_quiesce3(), 2);
 }
 

@@ -863,10 +863,10 @@ std::chrono::milliseconds storm_length() {
 // Linked grants under every kind of interference at once on kFcfs. Every
 // client is a thread, so a fast release grants it linked and its record
 // stays the cell's front until its own release unlinks it: three spinning
-// clients, a client with a sleeping policy, and a lock_for client (whose
-// breaker sends most releases down the guarded path, which grants
-// unlinked; it withdraws under meta when it times out, walking past a
-// holder's record). A configuration thread flips kFcfs <-> kQueue and
+// clients, a client with a sleeping policy, and a lock_for client (granted
+// linked by a fast release like the others; it quiesces the epoch and
+// withdraws under meta when it times out, walking past a holder's
+// record). A configuration thread flips kFcfs <-> kQueue and
 // changes the waiting policy: each of those calls waits out in-flight
 // fast releases only, never a hold, and must return within the watchdog.
 // A plain counter under the lock catches a lost update, and the waiter
@@ -929,8 +929,7 @@ TEST(QueueScheduler, HandoverStormWithFlipsAndPolicyChanges) {
 
 // The holder-side handover leaves a linked grantee's record as the cell's
 // front for the whole hold, and nothing may wait on that hold. A waiter is
-// granted by a fast release (linked: it is a thread, and no breaker is
-// armed) and keeps the lock 50 ms. Meanwhile configure_waiting, a switch
+// granted by a fast release (linked: it is a thread) and keeps the lock 50 ms. Meanwhile configure_waiting, a switch
 // kFcfs -> kQueue -> kPriorityQueue (the last drains the cell, unlinking
 // the holder's record) and another thread's lock_for(2 ms) must each
 // return while the holder still holds, each under the 2 s watchdog. The

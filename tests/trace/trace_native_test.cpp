@@ -145,6 +145,93 @@ TEST(TraceNative, RuntimeGateStopsRecording) {
   EXPECT_EQ(events.front().tid, ctx.self());
 }
 
+/// One handoff to a queued waiter with recording on: the holder waits until
+/// the waiter (`lock_for(1 s)` when `timed`, else `lock()`) is queued and
+/// has demoted the lock to full mode, then releases - inside a possession
+/// window when `possess`. Returns the holder's recorded events and the
+/// waiter's id.
+struct HandoffCapture {
+  std::vector<trace::Event> holder_events;
+  ThreadId waiter = kInvalidThread;
+};
+
+HandoffCapture capture_handoff(bool timed, bool possess) {
+  auto& reg = trace::Registry::instance();
+  reg.set_enabled(false);
+  reg.clear();
+  reg.set_ring_capacity(1u << 12);
+  reg.preattach(2);
+
+  native::Domain domain;
+  Lock::Options opts;
+  opts.scheduler = SchedulerKind::kFcfs;
+  Lock lock(domain, opts);
+  native::Context holder(domain);
+  reg.set_enabled(true);
+  lock.lock(holder);
+
+  std::atomic<ThreadId> waiter_tid{kInvalidThread};
+  bool acquired = false;
+  std::thread waiter([&] {
+    native::Context ctx(domain);
+    waiter_tid.store(ctx.self());
+    acquired = timed ? lock.lock_for(ctx, 1'000'000'000) : lock.lock(ctx);
+    if (acquired) lock.unlock(ctx);
+  });
+  while (lock.waiter_count() != 1 || lock.in_fast_mode(holder)) {
+    std::this_thread::yield();
+  }
+  if (possess) {
+    EXPECT_TRUE(lock.try_possess(holder, AttributeClass::kWaitingPolicy));
+  }
+  lock.unlock(holder);
+  if (possess) {
+    lock.release_possession(holder, AttributeClass::kWaitingPolicy);
+  }
+  waiter.join();
+  reg.set_enabled(false);
+  EXPECT_TRUE(acquired);
+
+  HandoffCapture out;
+  out.waiter = waiter_tid.load();
+  trace::TraceCollector collector;
+  for (const trace::Event& e : collector.collect()) {
+    if (e.tid == holder.self()) out.holder_events.push_back(e);
+  }
+  return out;
+}
+
+/// The holder's grant to the waiter was made by a fast release: its
+/// kFastReleaseBegin precedes the kGranted naming the waiter.
+void expect_fast_grant(const HandoffCapture& c) {
+  std::size_t begin = c.holder_events.size();
+  std::size_t granted = c.holder_events.size();
+  for (std::size_t i = 0; i < c.holder_events.size(); ++i) {
+    const trace::Event& e = c.holder_events[i];
+    if (e.kind == LockEvent::kFastReleaseBegin &&
+        begin == c.holder_events.size()) {
+      begin = i;
+    }
+    if (e.kind == LockEvent::kGranted && e.arg == c.waiter) granted = i;
+  }
+  ASSERT_LT(granted, c.holder_events.size()) << "the holder never granted";
+  EXPECT_LT(begin, granted) << "the grant was not made by a fast release";
+}
+
+// A queued conditional waiter leaves the release fast: its timeout is
+// resolved at expiry, not by holding the quiescence epoch open while it
+// waits.
+TEST(TraceNative, TimedWaiterIsGrantedByAFastRelease) {
+  expect_fast_grant(capture_handoff(/*timed=*/true, /*possess=*/false));
+}
+
+// A possession window alone breaks no epoch either: only the configure
+// operations inside it quiesce, each for its own span.
+TEST(TraceNative, ReleaseInsidePossessionWindowIsFast) {
+  expect_fast_grant(capture_handoff(/*timed=*/false, /*possess=*/true));
+  expect_fast_grant(capture_handoff(/*timed=*/true, /*possess=*/true));
+}
+
 TEST(TraceNative, WriteChromeTraceExportsLoadableJson) {
   const std::vector<trace::Event> events =
       capture(/*threads=*/2, /*iters=*/200, SchedulerKind::kHandoff);
