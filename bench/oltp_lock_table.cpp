@@ -18,7 +18,10 @@
 // a victim's abort-retry loop). Every committed write increments its
 // key's plain (non-atomic) counter while write-locked - the sum must
 // equal the committed write count or mutual exclusion is broken and the
-// run aborts, mirroring native_throughput's lost-update check.
+// run aborts, mirroring native_throughput's lost-update check. Each cell
+// also reports its table's entries_allocated and bytes_per_key
+// (footprint_bytes() over the distinct keys touched): informational, not
+// gated - bench/diff_baseline.py compares ops_per_sec only.
 //
 // Knobs: RELOCK_OLTP_MS (window per cell, default 200),
 //        RELOCK_OLTP_MAX_THREADS (sweep ceiling, default 8).
@@ -78,6 +81,10 @@ struct CellResult {
   std::uint64_t p99_wait_ns = 0;
   std::uint64_t aborts = 0;
   bool oversubscribed = false;
+  /// Table footprint (informational, not gated): entries ever inflated,
+  /// and footprint_bytes() over the distinct keys the cell touched.
+  std::uint64_t entries_allocated = 0;
+  double bytes_per_key = 0.0;
 };
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
@@ -233,6 +240,11 @@ CellResult run_cell(std::uint32_t threads, const WorkloadSpec& wl,
   r.scheduler = wl.name;
   r.policy = po.name;
   r.oversubscribed = oversubscribed;
+  r.entries_allocated = tbl.entries_allocated();
+  r.bytes_per_key = tbl.size() == 0
+                        ? 0.0
+                        : static_cast<double>(tbl.footprint_bytes()) /
+                              static_cast<double>(tbl.size());
   std::uint64_t writes = 0;
   std::vector<std::uint64_t> all;
   for (std::uint32_t i = 0; i < threads; ++i) {
@@ -305,21 +317,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kKeySpace), max_threads,
               smoke ? "  [smoke]" : "");
   std::printf("==============================================================================\n");
-  std::printf("%8s %-12s %-10s %14s %12s %12s %10s %8s\n", "threads",
-              "workload", "policy", "txns/sec", "p50_us", "p99_us", "aborts",
-              "oversub");
+  std::printf("%8s %-12s %-10s %14s %12s %12s %10s %8s %8s %8s\n",
+              "threads", "workload", "policy", "txns/sec", "p50_us", "p99_us",
+              "aborts", "oversub", "entries", "B/key");
 
   std::vector<CellResult> results;
   for (const std::uint32_t n : sweep) {
     for (const WorkloadSpec& wl : workloads) {
       for (const PolicySpec& po : policies) {
         const CellResult r = run_cell(n, wl, po, window_ns);
-        std::printf("%8u %-12s %-10s %14.0f %12.1f %12.1f %10llu %8s\n",
-                    r.threads, r.scheduler, r.policy, r.ops_per_sec,
-                    static_cast<double>(r.p50_wait_ns) / 1000.0,
-                    static_cast<double>(r.p99_wait_ns) / 1000.0,
-                    static_cast<unsigned long long>(r.aborts),
-                    r.oversubscribed ? "yes" : "no");
+        std::printf(
+            "%8u %-12s %-10s %14.0f %12.1f %12.1f %10llu %8s %8llu %8.1f\n",
+            r.threads, r.scheduler, r.policy, r.ops_per_sec,
+            static_cast<double>(r.p50_wait_ns) / 1000.0,
+            static_cast<double>(r.p99_wait_ns) / 1000.0,
+            static_cast<unsigned long long>(r.aborts),
+            r.oversubscribed ? "yes" : "no",
+            static_cast<unsigned long long>(r.entries_allocated),
+            r.bytes_per_key);
         std::fflush(stdout);
         results.push_back(r);
       }
@@ -346,14 +361,16 @@ int main(int argc, char** argv) {
                  "    {\"threads\": %u, \"scheduler\": \"%s\", \"policy\": "
                  "\"%s\", \"ops_per_sec\": %.1f, \"total_ops\": %llu, "
                  "\"p50_wait_ns\": %llu, \"p99_wait_ns\": %llu, "
-                 "\"aborts\": %llu, \"oversubscribed\": %s}%s\n",
+                 "\"aborts\": %llu, \"oversubscribed\": %s, "
+                 "\"entries_allocated\": %llu, \"bytes_per_key\": %.1f}%s\n",
                  r.threads, r.scheduler, r.policy, r.ops_per_sec,
                  static_cast<unsigned long long>(r.total_ops),
                  static_cast<unsigned long long>(r.p50_wait_ns),
                  static_cast<unsigned long long>(r.p99_wait_ns),
                  static_cast<unsigned long long>(r.aborts),
                  r.oversubscribed ? "true" : "false",
-                 i + 1 == results.size() ? "" : ",");
+                 static_cast<unsigned long long>(r.entries_allocated),
+                 r.bytes_per_key, i + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -144,6 +144,15 @@ class ConfigurableLock {
   };
   using RegistryWord =
       std::conditional_t<kRealConcurrency<P>, NoWord, typename P::Word>;
+  /// The scheduler submodule words: written by every scheduler change (the
+  /// paper's 1R5W), never read back. Kept where every access is observed
+  /// (the simulator prices them, the checker schedules on them); empty on
+  /// native.
+  using ModuleWord =
+      std::conditional_t<kObservedWords<P>, typename P::Word, NoWord>;
+  /// Configuration words no passive handoff touches: unpadded on native,
+  /// so they share one line instead of taking one each.
+  using ColdWord = PackedWord<P>;
   using Cell = WaitQueueCell<P>;
 
   /// One per-thread waiting-policy override slot: written under meta, read
@@ -2062,10 +2071,12 @@ class ConfigurableLock {
     note(ctx, LockEvent::kConfigMutateBegin);
     monitor_.on_reconfiguration(/*scheduler_change=*/true);
     (void)P::load(ctx, sched_flag_);                    // 1R
-    const auto code = static_cast<std::uint64_t>(kind);
-    P::store(ctx, sched_reg_, code);                    // W1: registration
-    P::store(ctx, sched_acq_, code);                    // W2: acquisition
-    P::store(ctx, sched_rel_, code);                    // W3: release
+    if constexpr (kObservedWords<P>) {
+      const auto code = static_cast<std::uint64_t>(kind);
+      P::store(ctx, sched_reg_, code);                  // W1: registration
+      P::store(ctx, sched_acq_, code);                  // W2: acquisition
+      P::store(ctx, sched_rel_, code);                  // W3: release
+    }
     P::store(ctx, sched_flag_, 1);                      // W4: delay flag on
     meta_lock(ctx);
     // Arrivals published before this configuration belong to the outgoing
@@ -2339,19 +2350,25 @@ class ConfigurableLock {
   /// non-advisory). The dynamic half is the kStateContended bit.
   const bool fast_eligible_;
 
-  // Simulated/atomic words (object + configuration state, Figure 5).
+  // Simulated/atomic words (object + configuration state, Figure 5), in
+  // the order the simulator places them. On native the handoff's three
+  // words are padded to a line each. The cold words after them - the
+  // owner's advice (polled once per waiting round, not per probe), and
+  // the words written by reconfiguration, possession and the active-lock
+  // doorbell - are unpadded and share one line, and the write-only ones
+  // take no space at all.
   typename P::Word meta_;         ///< TAS guard for internal structures
   typename P::Word state_;        ///< bit 0 held; bit 1 full mode (kReal)
   typename P::Word owner_;        ///< exclusive owner tid+1, 0 = none
-  typename P::Word advice_;       ///< Advice published by the owner
-  typename P::Word config_word_;  ///< waiting-policy version (1R1W proxy)
-  typename P::Word sched_reg_;    ///< scheduler submodule: registration
-  typename P::Word sched_acq_;    ///< scheduler submodule: acquisition
-  typename P::Word sched_rel_;    ///< scheduler submodule: release
-  typename P::Word sched_flag_;   ///< configuration-delay flag
-  RegistryWord registry_;         ///< last registrant tid+1 (sim only)
-  typename P::Word possess_word_; ///< attribute possession bits
-  typename P::Word mailbox_;      ///< active-lock doorbell
+  ColdWord advice_;               ///< Advice published by the owner
+  ColdWord config_word_;          ///< waiting-policy version (1R1W proxy)
+  [[no_unique_address]] ModuleWord sched_reg_;  ///< submodule: registration
+  [[no_unique_address]] ModuleWord sched_acq_;  ///< submodule: acquisition
+  [[no_unique_address]] ModuleWord sched_rel_;  ///< submodule: release
+  ColdWord sched_flag_;           ///< configuration-delay flag
+  [[no_unique_address]] RegistryWord registry_;  ///< last registrant (sim)
+  ColdWord possess_word_;         ///< attribute possession bits
+  ColdWord mailbox_;              ///< active-lock doorbell
 
   // Waiting-policy attributes (semantic values, host side).
   std::atomic<std::uint32_t> attr_spin_{kInfiniteSpins};
@@ -2375,8 +2392,9 @@ class ConfigurableLock {
   // and words written by the state-word owner's release never share a
   // 64-byte line: the queue cell and the arrival count share a line of
   // their own, and the owner's release state below (the departure count
-  // included) starts a fresh line (the platform words above are padded by
-  // the native platform). Pinned by core_layout_test.
+  // included) starts a fresh line (the handoff's platform words above are
+  // padded by the native platform, and its cold words share a line of
+  // their own). Pinned by core_layout_test.
 
   /// Shared half of the cell-served (kFcfs/kQueue) waiter queue. Lock-
   /// resident - not module-resident - so lock-free arrivals can tail-swap
@@ -2436,7 +2454,8 @@ class ConfigurableLock {
   std::atomic<bool> serving_{false};
   std::atomic<bool> stop_{false};
 
-  /// Starts a line of its own (its hot shards are cache-padded).
+  /// Two pointers; its counters live in a block allocated only when the
+  /// monitor is enabled (see lock_monitor.hpp).
   LockMonitor monitor_;
   /// relock-trace identity; empty (and size-free) without RELOCK_TRACE.
   [[no_unique_address]] TraceTag trace_tag_;

@@ -12,6 +12,12 @@
 // transfer edge the direct-handoff release keeps to a single store.
 // `snapshot()` merges the shards.
 //
+// The shards exist only once the monitor is enabled. They, the cold
+// counters and the reset baseline live in one heap block (11,008 B)
+// that the first switch-on allocates; a monitor that was never enabled is
+// two null pointers, so a lock that leaves it off - every LockTable entry
+// by default - pays 16 bytes for it, not the block.
+//
 // Hot-shard increments are plain load+store pairs on relaxed atomics, not
 // read-modify-writes: a lock-prefixed RMW costs a sizable fraction of an
 // entire uncontended lock+unlock, and three of them per operation is where
@@ -28,6 +34,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "relock/platform/cacheline.hpp"
 #include "relock/platform/types.hpp"
@@ -103,49 +110,66 @@ struct LockStats {
 /// Live monitor attached to a lock. All mutators are safe to call
 /// concurrently; `snapshot()` is approximately consistent (counters may be
 /// skewed by in-flight operations, which is acceptable for adaptation).
+///
+/// Inline, the monitor is two pointers. Its counters live in one
+/// cache-line-aligned Block, allocated the first time the monitor is
+/// enabled and kept until the monitor dies, so a lock whose monitor stays
+/// off carries none of them. The enabled flag is itself the block pointer
+/// (null while disabled): the one load that decides an `on_*` call also
+/// yields the counters it bumps.
 class LockMonitor {
+  struct Block;
+
  public:
   LockMonitor() = default;
+  ~LockMonitor() { delete block_.load(std::memory_order_relaxed); }
+  LockMonitor(const LockMonitor&) = delete;
+  LockMonitor& operator=(const LockMonitor&) = delete;
 
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
+  /// Switching on allocates the counter block if this monitor has none
+  /// yet (a release CAS publishes it, so concurrent enablers agree on one
+  /// block). Counters gathered before a switch-off survive it.
+  void set_enabled(bool on) {
+    enabled_.store(on ? ensure_block() : nullptr, std::memory_order_release);
   }
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool enabled() const noexcept { return live() != nullptr; }
 
   void on_acquire(bool contended) noexcept {
-    if (!enabled()) return;
-    HotShard& s = shard();
+    Block* b = live();
+    if (b == nullptr) return;
+    HotShard& s = b->shard();
     inc(s.acquisitions);
     if (contended) inc(s.contended);
   }
   void on_shared_acquire() noexcept {
-    if (!enabled()) return;
-    shared_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    inc(shard().acquisitions);
+    Block* b = live();
+    if (b == nullptr) return;
+    b->shared_acquisitions.fetch_add(1, std::memory_order_relaxed);
+    inc(b->shard().acquisitions);
   }
   void on_wait_complete(Nanos wait_ns) noexcept {
-    if (!enabled()) return;
-    HotShard& s = shard();
+    Block* b = live();
+    if (b == nullptr) return;
+    HotShard& s = b->shard();
     inc(s.timed_waits);
     add(s.total_wait, wait_ns);
-    update_max(max_wait_, wait_ns);
+    update_max(b->max_wait, wait_ns);
     bump(s.wait_hist, wait_ns);
   }
   void on_release(Nanos hold_ns) noexcept {
-    if (!enabled()) return;
-    HotShard& s = shard();
+    Block* b = live();
+    if (b == nullptr) return;
+    HotShard& s = b->shard();
     inc(s.releases);
     inc(s.timed_holds);
     add(s.total_hold, hold_ns);
-    update_max(max_hold_, hold_ns);
+    update_max(b->max_hold, hold_ns);
     bump(s.hold_hist, hold_ns);
   }
   /// Release counted without a hold-time sample (the acquire side elided
   /// its clock read; duration statistics stay per-sample).
   void on_release() noexcept {
-    if (enabled()) inc(shard().releases);
+    if (Block* b = live()) inc(b->shard().releases);
   }
   /// True when this operation should carry clock reads: every `kPeriod`th
   /// per thread, the first included. Real-concurrency lock paths consult
@@ -158,27 +182,34 @@ class LockMonitor {
     return (n++ & (kPeriod - 1)) == 0;
   }
   void on_handoff() noexcept {
-    if (enabled()) inc(shard().handoffs);
+    if (Block* b = live()) inc(b->shard().handoffs);
   }
   void on_block() noexcept {
-    if (enabled()) inc(shard().blocks);
+    if (Block* b = live()) inc(b->shard().blocks);
   }
   void on_wakeup() noexcept {
-    if (enabled()) inc(shard().wakeups);
+    if (Block* b = live()) inc(b->shard().wakeups);
   }
-  void on_timeout() noexcept { bump_if(timeouts_); }
+  void on_timeout() noexcept {
+    if (Block* b = live()) b->timeouts.fetch_add(1, std::memory_order_relaxed);
+  }
   void on_spin_probe() noexcept {
-    if (enabled()) inc(shard().spin_probes);
+    if (Block* b = live()) inc(b->shard().spin_probes);
   }
   void on_reconfiguration(bool scheduler_change) noexcept {
-    bump_if(reconfigurations_);
-    if (scheduler_change) bump_if(scheduler_changes_);
+    Block* b = live();
+    if (b == nullptr) return;
+    b->reconfigurations.fetch_add(1, std::memory_order_relaxed);
+    if (scheduler_change) {
+      b->scheduler_changes.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   /// Merges the per-thread shards into one consistent-enough view (in-
   /// flight increments may be missed; monotone counters never go back) and
   /// subtracts the reset baseline. Every reported counter covers the window
   /// since the last reset() and can only grow within one reset generation.
+  /// A monitor that was never enabled reports zeros.
   [[nodiscard]] LockStats snapshot() const {
     LockStats s;
     snapshot_into(s);
@@ -190,10 +221,15 @@ class LockMonitor {
   /// engine polling hundreds of locks per tick) pays zero allocations and
   /// no LockStats temporaries - just the merge loop over the shards.
   void snapshot_into(LockStats& out) const {
-    BaselineGuard g(baseline_mu_);
-    raw_snapshot_into(out);
-    subtract_in_place(out, baseline_);
-    out.reset_generation = reset_generation_;
+    const Block* b = block_.load(std::memory_order_acquire);
+    if (b == nullptr) {
+      out = LockStats{};
+      return;
+    }
+    BaselineGuard g(b->baseline_mu);
+    b->raw_snapshot_into(out);
+    subtract_in_place(out, b->baseline);
+    out.reset_generation = b->reset_generation;
   }
 
   /// Starts a new statistics window. The live counters are NEVER written -
@@ -204,17 +240,20 @@ class LockMonitor {
   /// post-reset snapshot can ever report a value below a pre-reset one
   /// going negative (the classic adapt-policy "negative delta" bug).
   /// Serialized against snapshot() by a spinlock no increment path touches.
+  /// A monitor that was never enabled has nothing to reset.
   void reset() noexcept {
-    BaselineGuard g(baseline_mu_);
-    baseline_ = raw_snapshot();
+    Block* b = block_.load(std::memory_order_acquire);
+    if (b == nullptr) return;
+    BaselineGuard g(b->baseline_mu);
+    b->raw_snapshot_into(b->baseline);
     // Maxima are not differences; they restart at zero. An update_max
     // racing this store may land a pre-reset sample in the new window -
     // harmless, it is a real duration observation.
-    max_wait_.store(0, std::memory_order_relaxed);
-    max_hold_.store(0, std::memory_order_relaxed);
-    baseline_.max_wait_ns = 0;
-    baseline_.max_hold_ns = 0;
-    ++reset_generation_;
+    b->max_wait.store(0, std::memory_order_relaxed);
+    b->max_hold.store(0, std::memory_order_relaxed);
+    b->baseline.max_wait_ns = 0;
+    b->baseline.max_hold_ns = 0;
+    ++b->reset_generation;
   }
 
   static std::size_t bucket_of(Nanos ns) noexcept {
@@ -222,6 +261,11 @@ class LockMonitor {
     const int bit = 63 - __builtin_clzll(ns);
     return std::min<std::size_t>(static_cast<std::size_t>(bit),
                                  LockStats::kBuckets - 1);
+  }
+
+  /// Heap bytes an enabled monitor owns beyond sizeof(LockMonitor).
+  [[nodiscard]] static constexpr std::size_t block_bytes() noexcept {
+    return sizeof(Block);
   }
 
  private:
@@ -243,44 +287,95 @@ class LockMonitor {
     std::atomic_flag& f_;
   };
 
-  /// Merged view of the live counters since construction (no baseline).
-  [[nodiscard]] LockStats raw_snapshot() const {
-    LockStats s;
-    raw_snapshot_into(s);
-    return s;
-  }
-  void raw_snapshot_into(LockStats& s) const {
-    s = LockStats{};
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.reconfigurations = reconfigurations_.load(std::memory_order_relaxed);
-    s.scheduler_changes = scheduler_changes_.load(std::memory_order_relaxed);
-    s.shared_acquisitions =
-        shared_acquisitions_.load(std::memory_order_relaxed);
-    s.max_wait_ns = max_wait_.load(std::memory_order_relaxed);
-    s.max_hold_ns = max_hold_.load(std::memory_order_relaxed);
-    for (const CachePadded<HotShard>& padded : shards_) {
-      const HotShard& h = *padded;
-      s.acquisitions += h.acquisitions.load(std::memory_order_relaxed);
-      s.contended_acquisitions += h.contended.load(std::memory_order_relaxed);
-      s.releases += h.releases.load(std::memory_order_relaxed);
-      s.timed_waits += h.timed_waits.load(std::memory_order_relaxed);
-      s.timed_holds += h.timed_holds.load(std::memory_order_relaxed);
-      s.handoffs += h.handoffs.load(std::memory_order_relaxed);
-      s.blocks += h.blocks.load(std::memory_order_relaxed);
-      s.wakeups += h.wakeups.load(std::memory_order_relaxed);
-      s.spin_probes += h.spin_probes.load(std::memory_order_relaxed);
-      s.total_wait_ns += h.total_wait.load(std::memory_order_relaxed);
-      s.total_hold_ns += h.total_hold.load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < LockStats::kBuckets; ++i) {
-        s.wait_histogram[i] +=
-            h.wait_hist[i].load(std::memory_order_relaxed);
-        s.hold_histogram[i] +=
-            h.hold_hist[i].load(std::memory_order_relaxed);
+  /// Hot-edge counters, one cache-padded copy per shard, bumped with plain
+  /// load+store increments (see the header comment for the lost-increment
+  /// trade).
+  struct HotShard {
+    Counter acquisitions{0}, contended{0};
+    Counter releases{0}, handoffs{0}, blocks{0}, wakeups{0}, spin_probes{0};
+    Counter timed_waits{0}, timed_holds{0};
+    Counter total_wait{0}, total_hold{0};
+    std::array<Counter, LockStats::kBuckets> wait_hist{};
+    std::array<Counter, LockStats::kBuckets> hold_hist{};
+  };
+
+  static constexpr std::size_t kShards = 16;
+
+  /// Everything an enabled monitor counts. Allocated once, at the first
+  /// set_enabled(true), and freed with the monitor: an increment never
+  /// allocates, and a pointer read from enabled_ stays valid however the
+  /// flag flips afterwards.
+  struct alignas(kCacheLineSize) Block {
+    // Cold counters stay shared and exact (RMW increments).
+    Counter timeouts{0};
+    Counter reconfigurations{0}, scheduler_changes{0};
+    Counter shared_acquisitions{0};
+    Counter max_wait{0}, max_hold{0};
+    std::array<CachePadded<HotShard>, kShards> shards{};
+
+    // Reset state: raw totals captured at the last reset(), subtracted by
+    // snapshot(). Guarded by baseline_mu; increments never touch any of it.
+    mutable std::atomic_flag baseline_mu = ATOMIC_FLAG_INIT;
+    LockStats baseline{};
+    std::uint64_t reset_generation = 0;
+
+    [[nodiscard]] HotShard& shard() noexcept { return *shards[shard_index()]; }
+
+    /// Merged view of the live counters since allocation (no baseline).
+    void raw_snapshot_into(LockStats& s) const {
+      s = LockStats{};
+      s.timeouts = timeouts.load(std::memory_order_relaxed);
+      s.reconfigurations = reconfigurations.load(std::memory_order_relaxed);
+      s.scheduler_changes = scheduler_changes.load(std::memory_order_relaxed);
+      s.shared_acquisitions =
+          shared_acquisitions.load(std::memory_order_relaxed);
+      s.max_wait_ns = max_wait.load(std::memory_order_relaxed);
+      s.max_hold_ns = max_hold.load(std::memory_order_relaxed);
+      for (const CachePadded<HotShard>& padded : shards) {
+        const HotShard& h = *padded;
+        s.acquisitions += h.acquisitions.load(std::memory_order_relaxed);
+        s.contended_acquisitions +=
+            h.contended.load(std::memory_order_relaxed);
+        s.releases += h.releases.load(std::memory_order_relaxed);
+        s.timed_waits += h.timed_waits.load(std::memory_order_relaxed);
+        s.timed_holds += h.timed_holds.load(std::memory_order_relaxed);
+        s.handoffs += h.handoffs.load(std::memory_order_relaxed);
+        s.blocks += h.blocks.load(std::memory_order_relaxed);
+        s.wakeups += h.wakeups.load(std::memory_order_relaxed);
+        s.spin_probes += h.spin_probes.load(std::memory_order_relaxed);
+        s.total_wait_ns += h.total_wait.load(std::memory_order_relaxed);
+        s.total_hold_ns += h.total_hold.load(std::memory_order_relaxed);
+        for (std::size_t i = 0; i < LockStats::kBuckets; ++i) {
+          s.wait_histogram[i] +=
+              h.wait_hist[i].load(std::memory_order_relaxed);
+          s.hold_histogram[i] +=
+              h.hold_hist[i].load(std::memory_order_relaxed);
+        }
       }
     }
+  };
+
+  /// The block while the monitor is enabled, else null. Acquire pairs
+  /// with the release in set_enabled, so a block published by a later
+  /// switch-on is seen constructed.
+  [[nodiscard]] Block* live() const noexcept {
+    return enabled_.load(std::memory_order_acquire);
   }
 
-  /// raw >= base field-wise whenever both were taken under baseline_mu_
+  /// The monitor's block, allocated and published on first use.
+  Block* ensure_block() {
+    Block* b = block_.load(std::memory_order_acquire);
+    if (b != nullptr) return b;
+    auto fresh = std::make_unique<Block>();
+    if (block_.compare_exchange_strong(b, fresh.get(),
+                                       std::memory_order_release,
+                                       std::memory_order_acquire)) {
+      return fresh.release();
+    }
+    return b;  // a concurrent enabler published first
+  }
+
+  /// raw >= base field-wise whenever both were taken under baseline_mu
   /// (raw counters are monotone); the clamp is belt-and-suspenders against
   /// the sharded lost-increment corner.
   static std::uint64_t sub_clamped(std::uint64_t raw,
@@ -317,20 +412,6 @@ class LockMonitor {
     }
   }
 
-  /// Hot-edge counters, one cache-padded copy per shard, bumped with plain
-  /// load+store increments (see the header comment for the lost-increment
-  /// trade).
-  struct HotShard {
-    Counter acquisitions{0}, contended{0};
-    Counter releases{0}, handoffs{0}, blocks{0}, wakeups{0}, spin_probes{0};
-    Counter timed_waits{0}, timed_holds{0};
-    Counter total_wait{0}, total_hold{0};
-    std::array<Counter, LockStats::kBuckets> wait_hist{};
-    std::array<Counter, LockStats::kBuckets> hold_hist{};
-  };
-
-  static constexpr std::size_t kShards = 16;
-
   /// Process-wide round-robin shard assignment, fixed per thread on first
   /// use. Threads outnumbering kShards share slots (still correct - the
   /// slot counters are atomic - just with some line sharing and the rare
@@ -344,7 +425,6 @@ class LockMonitor {
     }
     return idx;
   }
-  [[nodiscard]] HotShard& shard() noexcept { return *shards_[shard_index()]; }
 
   /// Plain increment on a relaxed atomic: data-race free, but two threads
   /// sharing a shard slot can overwrite each other's bump (rare, harmless -
@@ -356,9 +436,6 @@ class LockMonitor {
   }
   static void inc(Counter& c) noexcept { add(c, 1); }
 
-  void bump_if(Counter& c) noexcept {
-    if (enabled()) c.fetch_add(1, std::memory_order_relaxed);
-  }
   static void bump(std::array<Counter, LockStats::kBuckets>& hist,
                    Nanos ns) noexcept {
     inc(hist[bucket_of(ns)]);
@@ -370,19 +447,9 @@ class LockMonitor {
     }
   }
 
-  std::atomic<bool> enabled_{false};
-  // Cold counters stay shared and exact (RMW increments).
-  Counter timeouts_{0};
-  Counter reconfigurations_{0}, scheduler_changes_{0};
-  Counter shared_acquisitions_{0};
-  Counter max_wait_{0}, max_hold_{0};
-  std::array<CachePadded<HotShard>, kShards> shards_{};
-
-  // Reset state: raw totals captured at the last reset(), subtracted by
-  // snapshot(). Guarded by baseline_mu_; increments never touch any of it.
-  mutable std::atomic_flag baseline_mu_ = ATOMIC_FLAG_INIT;
-  LockStats baseline_{};
-  std::uint64_t reset_generation_ = 0;
+  std::atomic<Block*> enabled_{nullptr};
+  /// Owns the block from the first switch-on until the monitor dies.
+  std::atomic<Block*> block_{nullptr};
 };
 
 }  // namespace relock

@@ -169,18 +169,27 @@ inline Context::Context(Domain& domain, Priority priority)
 
 inline Context::~Context() { domain_->unregister_thread(id_); }
 
-/// One atomic machine word, padded to its own cache line. The (Domain,
-/// Placement) constructor shape is shared with the simulator platform so
-/// that lock algorithms can construct words generically; the native platform
-/// has no NUMA placement and ignores the hint.
-struct Word {
-  explicit Word(Domain& /*domain*/, std::uint64_t initial = 0,
-                Placement /*placement*/ = Placement::any())
+/// One atomic machine word, unpadded. For words that share a cache line on
+/// purpose: a lock table's 16-byte slots, and a lock's cold configuration
+/// words, which no passive handoff touches. The (Domain, Placement)
+/// constructor shape is shared with the simulator platform so that lock
+/// algorithms can construct words generically; the native platform has no
+/// NUMA placement and ignores the hint. NativePlatform's operations take
+/// either word.
+struct PackedWord {
+  explicit PackedWord(Domain& /*domain*/, std::uint64_t initial = 0,
+                      Placement /*placement*/ = Placement::any()) noexcept
       : v(initial) {}
-  Word(const Word&) = delete;
-  Word& operator=(const Word&) = delete;
+  PackedWord(const PackedWord&) = delete;
+  PackedWord& operator=(const PackedWord&) = delete;
 
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> v;
+  std::atomic<std::uint64_t> v;
+};
+
+/// One atomic machine word, padded to its own cache line: the platform's
+/// Word, right for a hot lock word, ruinous at a million table slots.
+struct alignas(kCacheLineSize) Word : PackedWord {
+  using PackedWord::PackedWord;
 };
 
 /// NativePlatform: the Platform implementation for real host threads.
@@ -190,37 +199,47 @@ struct Word {
 struct NativePlatform {
   using Context = native::Context;
   using Word = native::Word;
+  using PackedWord = native::PackedWord;
   using Domain = native::Domain;
 
   /// Real hardware concurrency, no calibrated cost model: lock algorithms
   /// may use contention optimisations (see kRealConcurrency in platform.hpp).
   static constexpr bool kRealConcurrency = true;
+  /// Nothing but the lock itself observes a word access (see
+  /// kObservedWords in platform.hpp): words that are only ever written
+  /// are left out of the layout.
+  static constexpr bool kObservedWords = false;
 
-  static std::uint64_t load(Context&, const Word& w) noexcept {
+  static std::uint64_t load(Context&, const PackedWord& w) noexcept {
     return w.v.load(std::memory_order_acquire);
   }
-  static std::uint64_t load_relaxed(Context&, const Word& w) noexcept {
+  static std::uint64_t load_relaxed(Context&,
+                                    const PackedWord& w) noexcept {
     return w.v.load(std::memory_order_relaxed);
   }
-  static void store(Context&, Word& w, std::uint64_t v) noexcept {
+  static void store(Context&, PackedWord& w, std::uint64_t v) noexcept {
     w.v.store(v, std::memory_order_release);
   }
-  static std::uint64_t fetch_or(Context&, Word& w, std::uint64_t v) noexcept {
+  static std::uint64_t fetch_or(Context&, PackedWord& w,
+                                std::uint64_t v) noexcept {
     return w.v.fetch_or(v, std::memory_order_acq_rel);
   }
-  static std::uint64_t fetch_and(Context&, Word& w, std::uint64_t v) noexcept {
+  static std::uint64_t fetch_and(Context&, PackedWord& w,
+                                 std::uint64_t v) noexcept {
     return w.v.fetch_and(v, std::memory_order_acq_rel);
   }
-  static std::uint64_t fetch_add(Context&, Word& w, std::uint64_t v) noexcept {
+  static std::uint64_t fetch_add(Context&, PackedWord& w,
+                                 std::uint64_t v) noexcept {
     return w.v.fetch_add(v, std::memory_order_acq_rel);
   }
-  static std::uint64_t exchange(Context&, Word& w, std::uint64_t v) noexcept {
+  static std::uint64_t exchange(Context&, PackedWord& w,
+                                std::uint64_t v) noexcept {
     return w.v.exchange(v, std::memory_order_acq_rel);
   }
   /// Single-shot compare-and-swap; returns true on success. `expected` is
   /// taken by value: callers that need the observed value reload explicitly,
   /// which keeps the simulator's cost model honest (one access per call).
-  static bool cas(Context&, Word& w, std::uint64_t expected,
+  static bool cas(Context&, PackedWord& w, std::uint64_t expected,
                   std::uint64_t desired) noexcept {
     return w.v.compare_exchange_strong(expected, desired,
                                        std::memory_order_acq_rel,

@@ -75,4 +75,38 @@ inline constexpr bool kRealConcurrency = [] {
   }
 }();
 
+namespace detail {
+template <typename P>
+struct PackedWordOf {
+  using type = typename P::Word;
+};
+template <typename P>
+  requires requires { typename P::PackedWord; }
+struct PackedWordOf<P> {
+  using type = typename P::PackedWord;
+};
+}  // namespace detail
+
+/// The platform's unpadded word: `P::PackedWord` where P pads its Word to a
+/// cache line (native), else P::Word itself. P's word operations accept
+/// it. For words that share a line on purpose: lock-table slots, and a
+/// lock's cold configuration words.
+template <typename P>
+using PackedWord = typename detail::PackedWordOf<P>::type;
+
+/// True for platforms on which something besides the lock observes every
+/// word access: the simulator prices each one (formal_cost_test, Tables
+/// 1-7) and the checker schedules on each one. A platform declaring
+/// `kObservedWords = false` (native) has no such observer, so a word the
+/// lock only ever writes - the paper's scheduler-submodule words - is dead
+/// weight there and left out of the layout.
+template <typename P>
+inline constexpr bool kObservedWords = [] {
+  if constexpr (requires { P::kObservedWords; }) {
+    return static_cast<bool>(P::kObservedWords);
+  } else {
+    return true;
+  }
+}();
+
 }  // namespace relock

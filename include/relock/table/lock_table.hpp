@@ -68,7 +68,6 @@
 
 #include "relock/core/configurable_lock.hpp"
 #include "relock/platform/chk_hooks.hpp"
-#include "relock/platform/native.hpp"
 #include "relock/platform/platform.hpp"
 #include "relock/platform/types.hpp"
 
@@ -82,65 +81,6 @@ inline constexpr std::uint64_t kSlotPtrMask = ~std::uint64_t{3};
 /// One inline shared hold: a reader word is a multiple of this.
 inline constexpr std::uint64_t kSlotReader = 4;
 
-/// Table-word operations. The generic form uses the platform's own Word -
-/// on the check platform every operation is a scheduling point, which is
-/// what lets the model checker drive the inflate/deflate races. Platforms
-/// whose Word is cache-line padded (native) specialize this with an
-/// unpadded atomic so a slot stays 16 bytes.
-template <Platform P>
-struct TableOps {
-  using Word = typename P::Word;
-  using Ctx = typename P::Context;
-
-  static std::uint64_t load(Ctx& ctx, const Word& w) { return P::load(ctx, w); }
-  static void store(Ctx& ctx, Word& w, std::uint64_t v) { P::store(ctx, w, v); }
-  static std::uint64_t fetch_and(Ctx& ctx, Word& w, std::uint64_t v) {
-    return P::fetch_and(ctx, w, v);
-  }
-  static bool cas(Ctx& ctx, Word& w, std::uint64_t expected,
-                  std::uint64_t desired) {
-    return P::cas(ctx, w, expected, desired);
-  }
-  /// Quiescent (no-Context) read for destructors and host-side test
-  /// introspection; only valid while no thread is operating on the table.
-  static std::uint64_t raw(const Word& w) { return w.v; }
-};
-
-template <>
-struct TableOps<native::NativePlatform> {
-  /// native::Word is alignas(cache line) - right for one hot lock word,
-  /// ruinous at 1M slots. Same constructor shape, no padding.
-  struct Word {
-    explicit Word(native::Domain& /*domain*/, std::uint64_t initial = 0,
-                  Placement /*placement*/ = Placement::any()) noexcept
-        : v(initial) {}
-    Word(const Word&) = delete;
-    Word& operator=(const Word&) = delete;
-
-    std::atomic<std::uint64_t> v;
-  };
-  using Ctx = native::Context;
-
-  static std::uint64_t load(Ctx&, const Word& w) noexcept {
-    return w.v.load(std::memory_order_acquire);
-  }
-  static void store(Ctx&, Word& w, std::uint64_t v) noexcept {
-    w.v.store(v, std::memory_order_release);
-  }
-  static std::uint64_t fetch_and(Ctx&, Word& w, std::uint64_t v) noexcept {
-    return w.v.fetch_and(v, std::memory_order_acq_rel);
-  }
-  static bool cas(Ctx&, Word& w, std::uint64_t expected,
-                  std::uint64_t desired) noexcept {
-    return w.v.compare_exchange_strong(expected, desired,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-  }
-  static std::uint64_t raw(const Word& w) noexcept {
-    return w.v.load(std::memory_order_relaxed);
-  }
-};
-
 template <Platform P>
 class LockTable {
   static_assert(kRealConcurrency<P>,
@@ -153,7 +93,6 @@ class LockTable {
   using Domain = typename P::Domain;
   using Lock = ConfigurableLock<P>;
   using Key = std::uint64_t;
-  using Ops = TableOps<P>;
 
   struct Options {
     /// Slot count; rounded up to a power of two. Fixed for the table's
@@ -269,7 +208,7 @@ class LockTable {
   /// Whether `k`'s slot currently carries an inflated entry (advisory).
   bool inflated(Ctx& ctx, Key k) {
     Slot* s = find_existing(ctx, k);
-    return s != nullptr && (Ops::load(ctx, s->word) & kSlotInflated) != 0;
+    return s != nullptr && (P::load(ctx, s->word) & kSlotInflated) != 0;
   }
 
   // =================================================================
@@ -301,11 +240,16 @@ class LockTable {
     return entries_allocated_.load(std::memory_order_relaxed);
   }
 
-  /// Per-lock heap cost: the slot array plus every Entry ever inflated.
-  /// An idle, never-inflated table is exactly 16 bytes per lock.
+  /// Per-lock heap cost: the slot array plus every Entry ever inflated,
+  /// each with its monitor's counter block when `lock_options` enables the
+  /// monitor (the block lives outside the Entry). An idle, never-inflated
+  /// table is exactly 16 bytes per lock.
   [[nodiscard]] std::uint64_t footprint_bytes() const noexcept {
+    const std::uint64_t per_entry =
+        sizeof(Entry) +
+        (opts_.lock_options.monitor_enabled ? LockMonitor::block_bytes() : 0);
     return std::uint64_t{capacity_} * sizeof(Slot) +
-           entries_allocated_.load(std::memory_order_relaxed) * sizeof(Entry);
+           entries_allocated_.load(std::memory_order_relaxed) * per_entry;
   }
   /// O(partitions) fixed bookkeeping (pool heads, stripe headers) - not
   /// per-lock, reported separately from footprint_bytes().
@@ -318,7 +262,7 @@ class LockTable {
   /// kSlotFree for a key never inserted.
   [[nodiscard]] std::uint64_t quiescent_word(Key k) const {
     const Slot* s = probe_raw(k);
-    return s == nullptr ? kSlotFree : Ops::raw(s->word);
+    return s == nullptr ? kSlotFree : raw(s->word);
   }
 
  private:
@@ -346,10 +290,21 @@ class LockTable {
     Entry* next = nullptr;  ///< partition free-list link (under pool guard)
   };
 
+  /// Table words are the platform's unpadded word: on native a slot is
+  /// exactly 16 bytes; on the check platform every operation on them is a
+  /// scheduling point, which is what lets the model checker drive the
+  /// inflate/deflate races.
+  using Word = PackedWord<P>;
+
+  /// Quiescent (no-Context) read for the destructor and host-side test
+  /// introspection; only valid while no thread is operating on the table.
+  /// `v` is a plain integer on the check platform, an atomic on native.
+  static std::uint64_t raw(const Word& w) noexcept { return w.v; }
+
   struct Slot {
     explicit Slot(Domain& d) : key(d, 0), word(d, 0) {}
-    typename Ops::Word key;
-    typename Ops::Word word;
+    Word key;
+    Word word;
   };
 
   /// Stripe header: the Entry pool. The guard is a plain test-and-set spin
@@ -413,15 +368,15 @@ class LockTable {
     const std::uint32_t mask = slots_per_part_ - 1;
     for (std::uint32_t i = 0; i < slots_per_part_; ++i) {
       Slot& s = slots_[base + ((static_cast<std::uint32_t>(h) + i) & mask)];
-      const std::uint64_t cur = Ops::load(ctx, s.key);
+      const std::uint64_t cur = P::load(ctx, s.key);
       if (cur == tagged) return &s;
       if (cur == 0) {
-        if (Ops::cas(ctx, s.key, 0, tagged)) {
+        if (P::cas(ctx, s.key, 0, tagged)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           return &s;
         }
         // Lost the claim - maybe to our own key on another thread.
-        if (Ops::load(ctx, s.key) == tagged) return &s;
+        if (P::load(ctx, s.key) == tagged) return &s;
       }
     }
     throw std::length_error("relock: LockTable partition full");
@@ -435,7 +390,7 @@ class LockTable {
     const std::uint32_t mask = slots_per_part_ - 1;
     for (std::uint32_t i = 0; i < slots_per_part_; ++i) {
       Slot& s = slots_[base + ((static_cast<std::uint32_t>(h) + i) & mask)];
-      const std::uint64_t cur = Ops::load(ctx, s.key);
+      const std::uint64_t cur = P::load(ctx, s.key);
       if (cur == tagged) return &s;
       if (cur == 0) return nullptr;
     }
@@ -451,7 +406,7 @@ class LockTable {
     for (std::uint32_t i = 0; i < slots_per_part_; ++i) {
       const Slot& s =
           slots_[base + ((static_cast<std::uint32_t>(h) + i) & mask)];
-      const std::uint64_t cur = Ops::raw(s.key);
+      const std::uint64_t cur = raw(s.key);
       if (cur == tagged) return &s;
       if (cur == 0) return nullptr;
     }
@@ -504,7 +459,7 @@ class LockTable {
     Entry* e = decode(w);
     chk_point<P>(ctx, "tb.pin");
     e->users.fetch_add(1, std::memory_order_seq_cst);
-    const std::uint64_t w2 = Ops::load(ctx, s.word);
+    const std::uint64_t w2 = P::load(ctx, s.word);
     if ((w2 & kSlotInflated) != 0 && decode(w2) == e) return e;
     unpin(ctx, e);
     return nullptr;
@@ -528,17 +483,17 @@ class LockTable {
   /// CAS closes the window proves the full lock is free and at rest.
   void try_deflate_idle(Ctx& ctx, Slot& s, Entry* e) {
     const std::uint64_t pub = encode(e) | kSlotInflated;
-    if (!Ops::cas(ctx, s.word, pub, kSlotDeflating)) return;
+    if (!P::cas(ctx, s.word, pub, kSlotDeflating)) return;
     chk_point<P>(ctx, "tb.defl.recheck");
     if (e->users.load(std::memory_order_seq_cst) == 0 &&
         !e->sticky.load(std::memory_order_acquire)) {
       if (opts_.on_deflate) opts_.on_deflate(e->lock);
       recycle_entry(part_of(s), e);
       inflated_.fetch_sub(1, std::memory_order_relaxed);
-      Ops::store(ctx, s.word, kSlotFree);
+      P::store(ctx, s.word, kSlotFree);
       return;
     }
-    Ops::store(ctx, s.word, pub);
+    P::store(ctx, s.word, pub);
   }
 
   /// Installs a fresh entry over the inline word `expected` (free, one
@@ -563,7 +518,7 @@ class LockTable {
 #else
     const std::uint64_t held = expected != kSlotFree ? kSlotHeld : 0;
 #endif
-    if (Ops::cas(ctx, s.word, expected, encode(e) | kSlotInflated | held)) {
+    if (P::cas(ctx, s.word, expected, encode(e) | kSlotInflated | held)) {
       inflated_.fetch_add(1, std::memory_order_relaxed);
       if (opts_.on_inflate) opts_.on_inflate(e->lock);
       return e;
@@ -578,7 +533,7 @@ class LockTable {
   /// path: works whether the slot is free, inline-held, or inflated).
   Entry* pin_or_install(Ctx& ctx, Slot& s) {
     for (;;) {
-      const std::uint64_t w = Ops::load(ctx, s.word);
+      const std::uint64_t w = P::load(ctx, s.word);
       if (w == kSlotDeflating) {
         P::pause(ctx);
         continue;
@@ -602,7 +557,7 @@ class LockTable {
     Slot& s = *find_or_insert(ctx, k);
     const Nanos deadline = timeout > 0 ? P::now(ctx) + timeout : 0;
     for (;;) {
-      const std::uint64_t w = Ops::load(ctx, s.word);
+      const std::uint64_t w = P::load(ctx, s.word);
       if (w == kSlotDeflating) {
         P::pause(ctx);
         continue;
@@ -616,7 +571,7 @@ class LockTable {
       // Inline word: free, kSlotHeld, or a reader count.
       if (shared ? (w & kSlotHeld) == 0 : w == kSlotFree) {
         // The uncontended path: the entire acquire is this CAS.
-        if (Ops::cas(ctx, s.word, w, shared ? w + kSlotReader : kSlotHeld)) {
+        if (P::cas(ctx, s.word, w, shared ? w + kSlotReader : kSlotHeld)) {
           return true;
         }
         continue;
@@ -659,7 +614,7 @@ class LockTable {
       return false;
     }
     std::uint32_t spins = 0;
-    while ((Ops::load(ctx, s.word) & kSlotHeld) != 0) {
+    while ((P::load(ctx, s.word) & kSlotHeld) != 0) {
       if (try_only || (deadline != 0 && P::now(ctx) >= deadline)) {
         // Back out: we own the full lock but table-level ownership never
         // happened. If ours was the last engagement, turn the lights out
@@ -692,7 +647,7 @@ class LockTable {
     if (sp == nullptr) misuse("LockTable: unlock of a key never locked");
     Slot& s = *sp;
     for (;;) {
-      const std::uint64_t w = Ops::load(ctx, s.word);
+      const std::uint64_t w = P::load(ctx, s.word);
       if ((w & kSlotInflated) != 0 && decode(w) != nullptr) {
         Entry* e = decode(w);
         if ((w & kSlotHeld) != 0) {
@@ -710,7 +665,7 @@ class LockTable {
               return;  // other inline readers still hold the bit up
             }
           }
-          (void)Ops::fetch_and(ctx, s.word, ~kSlotHeld);
+          (void)P::fetch_and(ctx, s.word, ~kSlotHeld);
           // The entry may already be idle (a try/timed acquirer inflated,
           // then backed out while our bit blocked its deflation attempt):
           // with the bit down, an idle entry is now ours to retire.
@@ -729,7 +684,7 @@ class LockTable {
       if (w == kSlotFree) misuse("LockTable: unlock of an unheld key");
       // Inline hold: kSlotHeld or a reader count.
       if (shared == (w == kSlotHeld)) wrong_mode(shared);
-      if (Ops::cas(ctx, s.word, w, shared ? w - kSlotReader : kSlotFree)) {
+      if (P::cas(ctx, s.word, w, shared ? w - kSlotReader : kSlotFree)) {
         return;
       }
       // Inflated under us, or another reader moved the count: retry.
@@ -754,7 +709,7 @@ class LockTable {
     if (!e->sticky.load(std::memory_order_relaxed) &&
         e->users.load(std::memory_order_seq_cst) == 1) {
       const std::uint64_t pub = encode(e) | kSlotInflated;
-      if (Ops::cas(ctx, s.word, pub, kSlotDeflating)) {
+      if (P::cas(ctx, s.word, pub, kSlotDeflating)) {
         chk_point<P>(ctx, "tb.defl.recheck");
         // The Dekker re-check: a pinner increments users BEFORE validating
         // the slot word, and we removed the word BEFORE re-reading users,
@@ -775,7 +730,7 @@ class LockTable {
             // caller STILL HOLDS the lock, so restore the pre-call state
             // exactly - reopen the slot, keep the hold's pin - or the
             // slot would be wedged at kSlotDeflating forever.
-            Ops::store(ctx, s.word, pub);
+            P::store(ctx, s.word, pub);
             throw;
           }
           if (shared) e->shared_holds.fetch_sub(1, std::memory_order_acq_rel);
@@ -783,11 +738,11 @@ class LockTable {
           if (opts_.on_deflate) opts_.on_deflate(e->lock);
           recycle_entry(part_of(s), e);
           inflated_.fetch_sub(1, std::memory_order_relaxed);
-          Ops::store(ctx, s.word, kSlotFree);
+          P::store(ctx, s.word, kSlotFree);
           return;
         }
         // Somebody slipped in: re-publish and release normally.
-        Ops::store(ctx, s.word, pub);
+        P::store(ctx, s.word, pub);
       }
     }
     // A wrong-mode throw from the full lock leaves the hold (and its pin)

@@ -9,7 +9,8 @@
 // the same treatment from the other side: every field a releaser touches
 // when it grants a record sits on one line, apart from the grant flag the
 // waiter spins on. Addresses are compared at runtime (through a friend
-// probe for the lock); offsetof is unusable on these classes.
+// probe for the lock); offsetof is unusable on these classes. The native
+// lock's size is pinned too: at most 1 KiB with its monitor off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,6 +99,15 @@ struct LockLayoutProbe {
     return true;
   }
 
+  /// Configuration words no passive handoff reads or writes.
+  static std::vector<Span> cold_words(const Lock& lk) {
+    return {span("advice_", lk.advice_),
+            span("config_word_", lk.config_word_),
+            span("sched_flag_", lk.sched_flag_),
+            span("possess_word_", lk.possess_word_),
+            span("mailbox_", lk.mailbox_)};
+  }
+
   static std::uintptr_t base(const Lock& lk) {
     return reinterpret_cast<std::uintptr_t>(&lk);
   }
@@ -139,6 +149,36 @@ TEST(LockLayout, ArrivalWordsAvoidOwnerReleaseLines) {
       << "a waiter count left the line its writer already owns";
   EXPECT_TRUE(Probe::handover_on_one_line(*lk))
       << "the cell's cursor left the owner line the release writes";
+}
+
+// A lock a table can afford: with its monitor off, the native lock is at
+// most 1 KiB. The monitor's counters live in a block only an enabled
+// monitor allocates, the scheduler submodule words (written, never read)
+// are empty on native, and the cold configuration words share one line.
+TEST(LockLayout, NativeLockFitsOneKiB) {
+  EXPECT_LE(sizeof(ConfigurableLock<native::NativePlatform>), 1024u);
+}
+
+TEST(LockLayout, ColdConfigurationWordsShareOneLine) {
+  using P = native::NativePlatform;
+  using Probe = LockLayoutProbe<P>;
+  native::Domain domain(4);
+  auto lk = std::make_unique<ConfigurableLock<P>>(domain);
+  const std::vector<Probe::Span> cold = Probe::cold_words(*lk);
+  const std::uintptr_t line = cold.front().first_line();
+  for (const Probe::Span& w : cold) {
+    EXPECT_EQ(w.first_line(), line) << w.name << " left the cold line";
+    EXPECT_EQ(w.last_line(), line) << w.name << " left the cold line";
+  }
+  // No word a handoff touches is on it.
+  for (const auto& hot : Probe::arrival_written(*lk)) {
+    EXPECT_FALSE(hot.first_line() <= line && line <= hot.last_line())
+        << hot.name << " shares the cold line";
+  }
+  for (const auto& hot : Probe::owner_written(*lk)) {
+    EXPECT_FALSE(hot.first_line() <= line && line <= hot.last_line())
+        << hot.name << " shares the cold line";
+  }
 }
 
 TEST(LockLayout, WaiterRecordHandoffFieldsShareOneLine) {

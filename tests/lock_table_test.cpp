@@ -25,7 +25,7 @@ using Table = LockTable<NativePlatform>;
 
 // The native table word must not inherit native::Word's cache-line
 // padding: two of them are the whole per-lock budget.
-static_assert(sizeof(TableOps<NativePlatform>::Word) == 8);
+static_assert(sizeof(PackedWord<NativePlatform>) == 8);
 
 Table::Options small_options(std::uint32_t capacity = 1024,
                              std::uint32_t partitions = 8) {
@@ -78,6 +78,34 @@ TEST(LockTableLayout, IdleMillionEntryTableCosts16BytesPerLock) {
   EXPECT_LE(t.footprint_bytes() / t.capacity(), 16u);
   // Stripe headers are O(partitions), not per-lock: under 1% of the array.
   EXPECT_LE(t.overhead_bytes() * 100, t.footprint_bytes());
+}
+
+/// Bytes footprint_bytes() charges per inflated entry, after inflating
+/// `keys` distinct keys of a table built with `monitor_enabled`.
+std::uint64_t footprint_per_entry(bool monitor_enabled, std::uint64_t keys) {
+  native::Domain dom(16);
+  Table::Options o = small_options();
+  o.lock_options.monitor_enabled = monitor_enabled;
+  Table t(dom, o);
+  native::Context ctx(dom);
+  for (Table::Key k = 0; k < keys; ++k) t.inflate(ctx, k);
+  EXPECT_EQ(t.entries_allocated(), keys);
+  return (t.footprint_bytes() - std::uint64_t{16} * t.capacity()) /
+         t.entries_allocated();
+}
+
+TEST(LockTableLayout, UnmonitoredEntryCostsAtMostOneKiB) {
+  // The monitor is off: its counter block is never allocated, and the
+  // entry is the lock plus the pin/mode bookkeeping.
+  const std::uint64_t per_entry = footprint_per_entry(false, 3);
+  EXPECT_GE(per_entry, sizeof(ConfigurableLock<NativePlatform>));
+  EXPECT_LE(per_entry, 1024u);
+}
+
+TEST(LockTableLayout, MonitoredEntryCountsItsCounterBlock) {
+  // Each monitored entry owns one heap block beside the entry itself.
+  EXPECT_EQ(footprint_per_entry(true, 3),
+            footprint_per_entry(false, 3) + LockMonitor::block_bytes());
 }
 
 TEST(LockTableInline, AcquireReleaseTryTimeoutSemantics) {

@@ -137,6 +137,66 @@ TEST(LockMonitorUnit, ConcurrentResetNeverShowsNegativeWindows) {
   for (auto& t : writers) t.join();
 }
 
+TEST(LockMonitorUnit, NeverEnabledMonitorReportsZerosUntilEnabled) {
+  // A monitor that was never switched on has no counter block: events are
+  // dropped, and snapshot and reset see nothing.
+  LockMonitor mon;
+  EXPECT_FALSE(mon.enabled());
+  mon.on_acquire(true);
+  mon.on_release(100);
+  mon.on_timeout();
+  mon.on_reconfiguration(true);
+  mon.reset();
+  LockStats s = mon.snapshot();
+  EXPECT_EQ(s.acquisitions, 0u);
+  EXPECT_EQ(s.releases, 0u);
+  EXPECT_EQ(s.timeouts, 0u);
+  EXPECT_EQ(s.reconfigurations, 0u);
+  EXPECT_EQ(s.total_hold_ns, 0u);
+  EXPECT_EQ(s.reset_generation, 0u);
+  for (const auto b : s.hold_histogram) EXPECT_EQ(b, 0u);
+
+  // Once enabled it counts; switched off again it stops counting but
+  // keeps what it gathered.
+  mon.set_enabled(true);
+  EXPECT_TRUE(mon.enabled());
+  mon.on_acquire(true);
+  mon.on_release(100);
+  mon.on_timeout();
+  mon.set_enabled(false);
+  mon.on_acquire(true);
+  s = mon.snapshot();
+  EXPECT_EQ(s.acquisitions, 1u);
+  EXPECT_EQ(s.contended_acquisitions, 1u);
+  EXPECT_EQ(s.releases, 1u);
+  EXPECT_EQ(s.timeouts, 1u);
+  EXPECT_EQ(s.total_hold_ns, 100u);
+  mon.set_enabled(true);
+  mon.on_acquire(false);
+  EXPECT_EQ(mon.snapshot().acquisitions, 2u);
+}
+
+TEST(LockMonitorUnit, ConcurrentEnablersShareOneBlock) {
+  // Every thread switches the monitor on and counts at once: the block one
+  // of them publishes is the block all of them count into.
+  LockMonitor mon;
+  constexpr int kThreads = 4, kEvents = 1'000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      mon.set_enabled(true);
+      for (int j = 0; j < kEvents; ++j) mon.on_handoff();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mon.snapshot().handoffs,
+            static_cast<std::uint64_t>(kThreads) * kEvents);
+}
+
 TEST(LockMonitorUnit, HistogramBucketsPopulate) {
   LockMonitor mon;
   mon.set_enabled(true);

@@ -126,6 +126,26 @@ TEST(ReleaseAllocation, CentralizedSteadyStateIsAllocationFree) {
   run_zero_alloc_window(lock, dom, LockAttributes::combined(200));
 }
 
+// The monitor's counter block is allocated once, when the lock is built
+// with the monitor on. After that, an uncontended lock and unlock, and a
+// contended handoff window, allocate nothing, and the monitor counts them.
+TEST(ReleaseAllocation, MonitoredLockAllocatesOnlyAtConstruction) {
+  native::Domain dom(16);
+  native::Context ctx(dom);
+  Lock lock(dom, {.scheduler = SchedulerKind::kFcfs, .monitor_enabled = true});
+  const std::uint64_t before = g_allocations.load(std::memory_order_acquire);
+  for (int i = 0; i < 1'000; ++i) {
+    lock.lock(ctx);
+    lock.unlock(ctx);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_acquire) - before, 0u)
+      << "heap allocations on a monitored lock's uncontended path";
+  run_zero_alloc_window(lock, dom, LockAttributes::spin());
+  const LockStats s = lock.monitor().snapshot();
+  EXPECT_GE(s.acquisitions, 1'000u);
+  EXPECT_GT(s.handoffs, 0u);
+}
+
 // Each worker holds two cell-served locks at once, both usually through
 // linked grants, so its thread keeps up to two pooled waiter records
 // linked in two cells while it waits for or holds the second. However
