@@ -43,9 +43,9 @@ struct StatsDelta {
   double mean_hold_ns = 0.0;
   double mean_wait_ns = 0.0;
   /// Domain census at evaluation time: more registered threads than
-  /// processors. Filled by the PolicyEngine on
-  /// platforms that expose a census, false elsewhere - it is an input to
-  /// the cost-model and scheduler-switch policies, not a monitor counter.
+  /// processors. Filled by the PolicyEngine on platforms that expose a
+  /// census, false elsewhere - it is an input to the cost-model waiting
+  /// policy, not a monitor counter.
   bool oversubscribed = false;
 
   [[nodiscard]] double contention_ratio() const {
@@ -231,53 +231,6 @@ class CostModelWaitPolicy final : public AdaptationPolicy {
  private:
   Params params_;
   bool sleeping_ = false;
-};
-
-/// Scheduler-kind switch between the centralized FCFS module and the
-/// distributed MCS-family queue ("Correctness of Hierarchical MCS Locks
-/// with Timeout", PAPERS.md): the queue's local spinning scales under
-/// heavy contention on dedicated processors, but FIFO handoff to a
-/// preempted waiter stalls the whole chain once the domain oversubscribes
-/// - detected oversubscription drops back to kFcfs, and sustained
-/// contention on a non-oversubscribed domain adopts kQueue. On
-/// real-concurrency platforms both kinds are served from the lock's MCS
-/// queue cell, so the flip is an immediate install that changes no
-/// waiter's position (no configuration delay); the two kinds differ only
-/// in the simulator.
-class OversubscriptionSchedulerPolicy final : public AdaptationPolicy {
- public:
-  struct Params {
-    double queue_above = 0.25;  ///< contention ratio to adopt the queue
-    double fcfs_below = 0.05;   ///< and to drop back to centralized FCFS
-    std::uint64_t min_samples = 8;
-  };
-
-  OversubscriptionSchedulerPolicy()
-      : OversubscriptionSchedulerPolicy(Params{}) {}
-  explicit OversubscriptionSchedulerPolicy(Params p, bool start_queued = false)
-      : params_(p), queued_(start_queued) {}
-
-  std::optional<AdaptAction> evaluate(const StatsDelta& d) override {
-    if (d.acquisitions < params_.min_samples) return std::nullopt;
-    if (queued_) {
-      if (d.oversubscribed || d.contention_ratio() < params_.fcfs_below) {
-        queued_ = false;
-        return AdaptAction{SetScheduler{SchedulerKind::kFcfs}};
-      }
-      return std::nullopt;
-    }
-    if (!d.oversubscribed && d.contention_ratio() > params_.queue_above) {
-      queued_ = true;
-      return AdaptAction{SetScheduler{SchedulerKind::kQueue}};
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] bool queued() const noexcept { return queued_; }
-
- private:
-  Params params_;
-  bool queued_ = false;
 };
 
 /// Threshold resizing under bursty arrivals (kPriorityThreshold locks):

@@ -7,9 +7,9 @@
 // entries are currently hot. Each tick() it consumes every registered
 // lock's sharded LockMonitor delta through the allocation-free
 // snapshot_into() path, feeds it to that lock's policy stack (cost-model
-// spin<->sleep, scheduler-kind switch under oversubscription, threshold
-// resizing under bursts - see policies.hpp), and applies the resulting
-// actions under attribute possession, subject to three dampers:
+// spin<->sleep, threshold resizing under bursts - see policies.hpp), and
+// applies the resulting actions under attribute possession, subject to
+// three dampers:
 //
 //   no-op suppression   an action whose target equals the current
 //                       configuration is dropped before any possession
@@ -133,22 +133,15 @@ class PolicyEngine {
   PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   /// Default per-lock stack: the cost-model waiting policy everywhere,
-  /// the oversubscription scheduler switch for kinds it can switch
-  /// between, burst threshold resizing for threshold schedulers. Initial
-  /// hysteresis sides are seeded from the lock's current configuration so
-  /// the first interval cannot emit a flip to where the lock already is.
+  /// plus burst threshold resizing for threshold schedulers. The waiting
+  /// policy's side is seeded from the lock's current attributes so the
+  /// first interval cannot emit a flip to where the lock already is.
   static std::unique_ptr<AdaptationPolicy> default_stack(const Lock& lk) {
     auto stack = std::make_unique<PolicyStack>();
     const LockAttributes attrs = lk.attributes();
     stack->push(std::make_unique<CostModelWaitPolicy>(
         CostModelWaitPolicy::Params{}, /*start_sleeping=*/attrs.sleep_ns != 0));
-    const SchedulerKind kind = lk.target_scheduler_kind();
-    if (kind == SchedulerKind::kFcfs || kind == SchedulerKind::kQueue) {
-      stack->push(std::make_unique<OversubscriptionSchedulerPolicy>(
-          OversubscriptionSchedulerPolicy::Params{},
-          /*start_queued=*/kind == SchedulerKind::kQueue));
-    }
-    if (kind == SchedulerKind::kPriorityThreshold) {
+    if (lk.target_scheduler_kind() == SchedulerKind::kPriorityThreshold) {
       stack->push(std::make_unique<BurstThresholdPolicy>());
     }
     return stack;

@@ -62,7 +62,7 @@ struct AsyncGate {
     const Nanos t0 = P::now(ctx);
     lk.meta_lock(ctx);
     if (lk.rw_enter_at_once(ctx, shared, t0)) return true;
-    lk.enlist(rec, lk.arrival_module());
+    lk.enlist(rec, lk.arrival_target_kind(), lk.arrival_module());
     lk.count_arrival();
     lk.meta_unlock(ctx);
     return false;

@@ -107,12 +107,12 @@ enum class Advice : std::uint64_t {
 /// The lock scheduler kinds Gamma (paper sections 3.1 / 4.3.1).
 enum class SchedulerKind : std::uint8_t {
   kNone,               ///< centralized barging: no queue, hardware ordering
-  kFcfs,               ///< FIFO grant order
+  kFcfs,               ///< FIFO grant order, from the lock's queue cell
   kPriorityQueue,      ///< grant the highest-priority waiter
   kPriorityThreshold,  ///< FCFS among waiters with priority >= threshold
   kHandoff,            ///< releaser hints the next owner
   kReaderWriter,       ///< multiple readers / exclusive writers
-  kQueue,              ///< distributed FIFO: MCS-family queue-node waiting
+  kQueue,              ///< same FIFO as kFcfs: a synonym, kept for callers
   kCustom,             ///< user-supplied Scheduler module
 };
 

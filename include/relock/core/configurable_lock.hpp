@@ -24,21 +24,25 @@
 // up a specific thread or all the sleeping threads depending on the release
 // policy").
 //
+// One FIFO: the FCFS kind (kFcfs, and its synonym kQueue) has no scheduler
+// module on any platform. Its waiters queue in the lock-resident MCS queue
+// cell, and the releaser takes the cell's front and grants it with one
+// store (see cell_served()). Every other kind selects through a module
+// (scheduler.hpp), and kNone barges.
+//
 // Contended-arrival design on real-concurrency platforms (kRealConcurrency):
 // arriving waiters do NOT take the meta guard. Every scheduled arrival -
 // and every coroutine arrival, kNone included - tail-swaps its
-// WaiterRecord into the lock-resident MCS queue cell and links behind its
-// predecessor. FIFO kinds (kFcfs, kQueue) are served straight from the
-// cell: the releaser pops the head and grants it with one store (see
-// cell_served()). For every other kind the release module - already
-// serialized by meta or by ownership - drains the cell, in arrival order,
-// into the scheduler module (or the orphan FIFO for kNone) before
-// selecting a grant. Registration therefore stays "the cost of one write
-// operation" even under contention, and the meta guard degenerates to a
+// WaiterRecord into the queue cell and links behind its predecessor. For
+// the module-selected kinds the release module - already serialized by
+// meta or by ownership - drains the cell, in arrival order, into the
+// scheduler module (or the orphan FIFO for kNone) before selecting a
+// grant. Registration therefore stays "the cost of one write operation"
+// even under contention, and the meta guard degenerates to a
 // release-side-only lock. On simulated platforms every word access has a
-// calibrated cost and the meta-guarded arrival path is kept verbatim
-// (kFcfs keeps FcfsScheduler there) so the reproduction tables stay
-// byte-stable.
+// calibrated cost and the meta-guarded arrival path is kept verbatim, so
+// the reproduction tables stay byte-stable: a simulated arrival enlists in
+// the cell or its kind's module under meta.
 //
 // Contended-release design (kRealConcurrency, the configuration-quiescence
 // epoch): the steady-state contended release does not take the meta guard
@@ -229,11 +233,8 @@ class ConfigurableLock {
         registry_(domain, 0, opts.placement),
         possess_word_(domain, 0, opts.placement),
         mailbox_(domain, 0, opts.placement),
+        scheduler_(make_scheduler<P>(opts.scheduler)),
         scheduler_kind_(opts.scheduler) {
-    // Assigned in the body, not the init list: a cell-served module is a
-    // façade over queue_cell_ and queue_cursor_, members declared further
-    // down.
-    scheduler_ = make_module(opts.scheduler);
     store_attrs(opts.attributes);
     if (scheduler_ != nullptr) {
       scheduler_->set_rw_preference(opts.rw_preference);
@@ -381,24 +382,19 @@ class ConfigurableLock {
     if (kind == SchedulerKind::kCustom) {
       misuse("install custom schedulers by instance (unique_ptr overload)");
     }
-    install_scheduler(ctx, kind, make_module(kind));
+    install_scheduler(ctx, kind, make_scheduler<P>(kind));
   }
 
   /// Installs a user-supplied scheduler module - the extension point the
   /// paper's kernel-configurability argument calls for (e.g. the
   /// deadline-based EdfScheduler). Same cost model and configuration-delay
-  /// semantics as the built-in kinds.
+  /// semantics as the built-in kinds. An instance reporting a kind that
+  /// has no module (kNone, or a cell-served kind) configures that kind and
+  /// is discarded.
   void configure_scheduler(Ctx& ctx, std::unique_ptr<Scheduler<P>> custom) {
     if (custom == nullptr) misuse("configure_scheduler with a null scheduler");
     const SchedulerKind kind = custom->kind();
-    if (cell_served(kind)) {
-      // Lock-free arrivals of a cell-served kind tail-swap into the
-      // lock-resident cell, never into a module's own queue. Such a module
-      // is stateless apart from its queue, so install a lock-bound façade
-      // instead; the caller's instance is simply discarded.
-      install_scheduler(ctx, kind, make_module(kind));
-      return;
-    }
+    if (kind == SchedulerKind::kNone || cell_served(kind)) custom = nullptr;
     install_scheduler(ctx, kind, std::move(custom));
   }
 
@@ -419,7 +415,7 @@ class ConfigurableLock {
                      static_cast<std::int64_t>(threshold)));
     note(ctx, LockEvent::kConfigMutateEnd);
     monitor_.on_reconfiguration(/*scheduler_change=*/false);
-    if (scheduler_ != nullptr && !scheduler_->empty()) {
+    if (!current_empty()) {
       serve_if_free(ctx);  // waiters may have just become eligible
       return;
     }
@@ -921,8 +917,8 @@ class ConfigurableLock {
         begin_hold<Hold::kContendedClaim>(ctx, t0);
         return true;
       }
-      if (Scheduler<P>* target = arrival_module()) {
-        return wait_registered(ctx, *target, shared, attrs, deadline, t0);
+      if (arrival_target_kind() != SchedulerKind::kNone) {
+        return wait_registered(ctx, shared, attrs, deadline, t0);
       }
       // Centralized barging mode (SchedulerKind::kNone).
       meta_unlock(ctx);
@@ -940,15 +936,13 @@ class ConfigurableLock {
   }
 
   /// True for the kinds served straight from the lock-resident MCS queue
-  /// cell: kQueue everywhere, and on kRealConcurrency platforms kFcfs too -
-  /// both are one FIFO, so FCFS waiters are popped from the cell and
-  /// granted without a drain or a module select. The simulator keeps
-  /// FcfsScheduler for kFcfs, so the reproduction tables do not move. On
-  /// real platforms a cell-served module never holds a configuration
-  /// delay: see install_scheduler().
+  /// cell, on every platform: kFcfs and its synonym kQueue, one FIFO. Their
+  /// waiters are taken from the cell's front and granted without a drain
+  /// or a module select; they have no module. On real platforms a
+  /// cell-served kind never holds a configuration delay: see
+  /// install_scheduler().
   [[nodiscard]] static constexpr bool cell_served(SchedulerKind kind) noexcept {
-    return kind == SchedulerKind::kQueue ||
-           (kRealConcurrency<P> && kind == SchedulerKind::kFcfs);
+    return kind == SchedulerKind::kFcfs || kind == SchedulerKind::kQueue;
   }
 
   /// Kind the next arrival will register under (advisory, lock-free read).
@@ -959,11 +953,23 @@ class ConfigurableLock {
   }
 
   /// Meta held. The module new arrivals register under: the pending one
-  /// during a configuration delay, else the current one (null for kNone).
+  /// during a configuration delay, else the current one (null for the
+  /// kinds without one).
   [[nodiscard]] Scheduler<P>* arrival_module() const noexcept {
     return has_pending_.load(std::memory_order_relaxed)
                ? pending_scheduler_.get()
                : scheduler_.get();
+  }
+
+  /// Meta held, or the module owner: true when the current kind has no
+  /// waiter left to serve - the cell for a cell-served kind (a linked
+  /// holder's record counts while it is the front), else its module. kNone
+  /// keeps no queue.
+  [[nodiscard]] bool current_empty() const noexcept {
+    if (cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
+      return queue_cell_.empty(queue_cursor_);
+    }
+    return scheduler_ == nullptr || scheduler_->empty();
   }
 
   /// The policy a registering thread waits under: its effective attributes
@@ -1040,22 +1046,14 @@ class ConfigurableLock {
     // tail but not yet the link waits out this two-store gap. Registration
     // order is fixed by the swap: report it to the checker in the same
     // atomic step, before the link window opens.
-    rec.qnext.store(nullptr, std::memory_order_relaxed);
     chk_point<P>(ctx, "qa.swap");
-    WaiterRecord<P>* const qprev =
-        queue_cell_.tail.exchange(&rec, std::memory_order_seq_cst);
+    WaiterRecord<P>* const qprev = queue_cell_.swap_in(rec);
     note(ctx, LockEvent::kRegistered, ctx.self());
-    if (qprev != nullptr) {
-      chk_point<P>(ctx, "qa.link");
-      // A thread waiter that never sleeps links quick: the releaser that
-      // reads this link on its own record grants it without reading it.
-      qprev->qnext.store(
-          Cell::link(&rec, rec.grant_hook == nullptr && !rec.may_sleep),
-          std::memory_order_release);
-    } else {
-      chk_point<P>(ctx, "qa.first");
-      queue_cell_.first.store(&rec, std::memory_order_release);
-    }
+    chk_point<P>(ctx, qprev != nullptr ? "qa.link" : "qa.first");
+    // A thread waiter that never sleeps links quick: the releaser that
+    // reads this link on its own record grants it without reading it.
+    queue_cell_.publish(qprev, rec,
+                        rec.grant_hook == nullptr && !rec.may_sleep);
     count_arrival();
 
     // Full-mode mark + lost-release guard. The contended-bit fetch_or does
@@ -1102,16 +1100,16 @@ class ConfigurableLock {
   }
 
   /// Meta held on entry. The meta-guarded registration of the simulated
-  /// contended arrival and of every reader-writer waiter: enqueue on
-  /// `target`, wait for the grant, and on timeout resolve the race with a
-  /// concurrent grant.
-  bool wait_registered(Ctx& ctx, Scheduler<P>& target, bool shared,
-                       const LockAttributes& attrs, Nanos deadline, Nanos t0) {
+  /// contended arrival and of every reader-writer waiter: enlist where new
+  /// arrivals wait (never kNone here), wait for the grant, and on timeout
+  /// resolve the race with a concurrent grant.
+  bool wait_registered(Ctx& ctx, bool shared, const LockAttributes& attrs,
+                       Nanos deadline, Nanos t0) {
     WaiterRecord<P> rec(domain_, ctx.self(), ctx.priority(),
                         grant_flag_placement(ctx), shared,
                         policy_may_sleep(attrs, opts_.advisory));
     rec.enqueue_time = t0;
-    enlist(rec, &target);
+    enlist(rec, arrival_target_kind(), arrival_module());
     // Registration order is fixed by the enqueue under meta: report it to
     // the checker before any releaser can grant the record.
     note(ctx, LockEvent::kRegistered, ctx.self());
@@ -1139,8 +1137,7 @@ class ConfigurableLock {
     note(ctx, LockEvent::kTimeoutReturn, rec.tid);
     count_departures(1);
     monitor_.on_timeout();
-    if (has_pending_.load(std::memory_order_relaxed) &&
-        scheduler_ != nullptr && scheduler_->empty()) {
+    if (has_pending_.load(std::memory_order_relaxed) && current_empty()) {
       serve_if_free(ctx);
     } else {
       meta_unlock(ctx);
@@ -1188,34 +1185,36 @@ class ConfigurableLock {
   }
 
   /// Meta held, or the module owner. Registers a drained, migrated or
-  /// meta-guarded record with `target`, or parks it on the orphan queue
-  /// when there is no module. A
-  /// cell-served module's records live in the lock-resident cell and name
-  /// no module: a reconfiguration may destroy the façade they would name,
-  /// and withdraw() finds them in the cell.
-  void enlist(WaiterRecord<P>& w, Scheduler<P>* target) {
-    if (target == nullptr) {
+  /// meta-guarded record where waiters of `kind` wait: the queue cell for a
+  /// cell-served kind, else `module` - that kind's module - or the orphan
+  /// queue for kNone (no module). Only a module's records name it; withdraw()
+  /// finds the others in the cell or on the orphan queue.
+  void enlist(WaiterRecord<P>& w, SchedulerKind kind, Scheduler<P>* module) {
+    if (cell_served(kind)) {
+      w.registered_with = nullptr;
+      queue_cell_.push(w);
+    } else if (module != nullptr) {
+      w.registered_with = module;
+      module->enqueue(w);
+    } else {
       w.registered_with = nullptr;
       orphans_.push_back(w);
-      return;
     }
-    w.registered_with = cell_served(target->kind()) ? nullptr : target;
-    target->enqueue(w);
   }
 
   // ------------------------------------------- queue cell consumer side ---
   // Producers are publish_arrival (the lock-free tail swap, kRealConcurrency
-  // only) plus meta-holders enqueuing through the façade (the simulator's
-  // registrations, migrations) - the latter run on the consumer's own
-  // thread and open no windows. The consumer role itself is exclusive: it
-  // belongs to the state-word owner (fast releases, grant_or_free behind a
-  // claim) or to meta-holders with no fast release in flight
+  // only) plus meta holders' enlist (the simulator's registrations, a
+  // migration into a cell-served kind) - the latter run on the consumer's
+  // own thread and open no windows. The consumer role itself is exclusive:
+  // it belongs to the state-word owner (fast releases, grant_or_free behind
+  // a claim) or to meta-holders with no fast release in flight
   // (configuration and timeout resolution, each under a QuiesceGuard), and
   // those two regimes exclude each other exactly as module ops always have.
-  // Unlike the façade's non-waiting operations, these wait out producers'
-  // two-store publication windows with gated spins: the producer's very
-  // next platform access after linking (the arr.mark fetch_or) re-enables
-  // a gated spinner under the checker, so the waits are finite there too.
+  // The consumer operations wait out producers' two-store publication
+  // windows with gated spins: the producer's very next platform access
+  // after linking (the arr.mark fetch_or) re-enables a gated spinner under
+  // the checker, so the waits are finite there too.
 
   /// The await the lock runs the cell's consumer operations with (see
   /// WaitQueueCell): a paced spin on the slot, announced to the checker.
@@ -1269,31 +1268,33 @@ class ConfigurableLock {
 
   /// Meta held, or the module owner: the lock's one drain. When the kind
   /// new arrivals register under is not cell-served, the cell's records
-  /// move, in arrival order, into that module - or onto the orphan queue
-  /// for kNone. On real platforms every scheduled arrival publishes into
-  /// the cell, so this is how a priority, threshold, handoff or custom
+  /// move, in arrival order, into that kind's module - or onto the orphan
+  /// queue for kNone. On real platforms every scheduled arrival publishes
+  /// into the cell, so this is how a priority, threshold, handoff or custom
   /// module (and a coroutine on kNone) receives its waiters. A cell-served
-  /// current module is left alone: on real platforms it never has a
-  /// pending one beside it, but the simulator keeps that delay and its
-  /// current kQueue still serves the pre-registered generation there.
+  /// current kind is left alone: on real platforms it never has a pending
+  /// one beside it, but the simulator keeps that delay and its current FIFO
+  /// still serves the pre-registered generation there.
   void drain_cell(Ctx& ctx) {
-    if (cell_served(arrival_target_kind()) ||
+    const SchedulerKind target = arrival_target_kind();
+    if (cell_served(target) ||
         cell_served(scheduler_kind_.load(std::memory_order_relaxed))) {
       return;
     }
-    move_cell(ctx, arrival_module());
+    move_cell(ctx, target, arrival_module());
   }
 
   /// Meta held, or the module owner. Moves every record in the cell to
-  /// `target` (the orphan queue when null), oldest first; the paced pop
-  /// waits out in-flight links, so no linked waiter is left behind. A
-  /// holder's linked record (the front, granted) is unlinked with the
-  /// rest but enlisted nowhere: it waits for nothing, and its release
-  /// finds it unlinked and only returns it to the pool.
-  void move_cell(Ctx& ctx, Scheduler<P>* target) {
+  /// where waiters of the module-selected `kind` (or kNone) wait (see
+  /// enlist()), oldest first; the paced pop waits out in-flight links, so
+  /// no linked waiter is left behind. A holder's linked record (the front,
+  /// granted) is unlinked with the rest but enlisted nowhere: it waits for
+  /// nothing, and its release finds it unlinked and only returns it to the
+  /// pool.
+  void move_cell(Ctx& ctx, SchedulerKind kind, Scheduler<P>* module) {
     const auto await = cell_await(ctx);
     while (WaiterRecord<P>* w = queue_cell_.pop(queue_cursor_, await)) {
-      if (w != holder_rec_ || kSeededEnlistHolder) enlist(*w, target);
+      if (w != holder_rec_ || kSeededEnlistHolder) enlist(*w, kind, module);
     }
   }
 
@@ -1308,10 +1309,9 @@ class ConfigurableLock {
       rec.registered_with = nullptr;
       return;
     }
-    // Cell records carry no module registration (see enlist()). The
-    // façade's non-waiting remove cannot wait out an in-flight producer
-    // link; the lock-side remover can. Not found in the cell means the
-    // orphan queue.
+    // Cell records carry no module registration (see enlist()); the paced
+    // remover waits out an in-flight producer link. Not found in the cell
+    // means the orphan queue.
     if (queue_cell_.remove(queue_cursor_, rec, cell_await(ctx))) return;
     orphans_.remove(rec);
   }
@@ -1639,11 +1639,12 @@ class ConfigurableLock {
     note(ctx, LockEvent::kFastReleaseBegin);
     WaiterRecord<P>* const quick = release_hold_record(ctx);
     chk_point<P>(ctx, "fr.mod");
-    // The guarded path's cases: no module (kNone frees the word and wakes
+    // The guarded path's cases: kNone (it frees the word and wakes
     // sleepers), a configuration delay to complete, or orphans to serve
     // before any module's choice.
-    if (scheduler_ == nullptr || has_pending_.load(std::memory_order_relaxed) ||
-        !orphans_.empty()) {
+    if (scheduler_kind_.load(std::memory_order_relaxed) ==
+            SchedulerKind::kNone ||
+        has_pending_.load(std::memory_order_relaxed) || !orphans_.empty()) {
       return release_fast_abort(ctx, /*began=*/true);
     }
     drain_cell(ctx);  // no delay: the current module is the arrival target
@@ -1783,8 +1784,8 @@ class ConfigurableLock {
   }
 
   /// The module owner's successor pick (meta held, or a fast release in a
-  /// quiesced epoch; a current module exists; the releasing holder's own
-  /// record already unlinked): the cell's front for the cell-served kinds
+  /// quiesced epoch; the current kind is not kNone; the releasing holder's
+  /// own record already unlinked): the cell's front for the cell-served kinds
   /// - the paced awaits wait out producers' link windows, so a linked
   /// waiter is never skipped - else the module's select into the grant
   /// scratch. Returns the first grantee, or null when nobody is eligible.
@@ -1934,17 +1935,18 @@ class ConfigurableLock {
 
     for (;;) {
       if constexpr (kRealConcurrency<P>) drain_cell(ctx);
-      if (scheduler_ != nullptr && scheduler_->empty() &&
-          has_pending_.load(std::memory_order_relaxed)) {
+      if (has_pending_.load(std::memory_order_relaxed) && current_empty()) {
         install_pending(ctx);
       }
-      // Orphans first, FIFO: waiters drained while no scheduler module was
-      // current (reconfigured to kNone mid-arrival) precede any module's
-      // choice so they cannot be stranded behind it.
+      // Orphans first, FIFO: waiters drained while no scheduler was current
+      // (reconfigured to kNone mid-arrival) or pre-registered in the cell
+      // when the lock left a cell-served kind precede any module's choice,
+      // so they cannot be stranded behind it.
       WaiterRecord<P>* w = orphans_.front();
       if (w != nullptr) {
         orphans_.remove(*w);
-      } else if (scheduler_ != nullptr) {
+      } else if (scheduler_kind_.load(std::memory_order_relaxed) !=
+                 SchedulerKind::kNone) {
         w = pick_successor(ctx, hint, /*fast=*/false);
       }
 
@@ -2040,23 +2042,10 @@ class ConfigurableLock {
     }
   }
 
-  /// Builds a scheduler module for `kind`. Cell-served kinds are special:
-  /// the module is a façade over the lock-resident queue_cell_ (and its
-  /// cursor) that
-  /// reports `kind`, because arrivals tail-swap into the cell without ever
-  /// dereferencing the module pointer (which a racing reconfiguration may
-  /// be retiring).
-  [[nodiscard]] std::unique_ptr<Scheduler<P>> make_module(SchedulerKind kind) {
-    if (cell_served(kind)) {
-      return std::make_unique<DistributedQueueScheduler<P>>(
-          &queue_cell_, &queue_cursor_, kind);
-    }
-    return make_scheduler<P>(kind);
-  }
-
   /// Common body of the configure_scheduler overloads: charges the 1R5W
-  /// cost, stages the new module, and installs it immediately when no
-  /// pre-registered waiters exist.
+  /// cost, stages the new kind with its module (`fresh`, null for the kinds
+  /// without one), and installs it immediately when no pre-registered
+  /// waiters exist.
   void install_scheduler(Ctx& ctx, SchedulerKind kind,
                          std::unique_ptr<Scheduler<P>> fresh) {
     // Checked before the quiescence epoch is broken: misuse() unwinds and
@@ -2083,27 +2072,29 @@ class ConfigurableLock {
     // generation: drain them into the module they registered under, to be
     // served under the configuration-delay rule.
     drain_cell(ctx);
-    // A cell-served module never holds a configuration delay on real
+    // A cell-served kind never holds a configuration delay on real
     // platforms. Towards another cell-served kind the outgoing and
-    // incoming modules serve the same FIFO, so the pre-registered waiters
-    // are served first by construction, and no record names the outgoing
-    // façade (see enlist()). Towards any other kind the pre-registered
-    // generation moves onto the orphan queue, which is served FIFO before
-    // any module's choice, so it still goes first. Deferring instead would
-    // keep the fast release off for as long as the cell never empties -
-    // under load, indefinitely. The simulator keeps the delay.
-    const bool cell_current = kRealConcurrency<P> && scheduler_ != nullptr &&
-                              cell_served(scheduler_->kind());
-    if (cell_current && !cell_served(kind)) move_cell(ctx, nullptr);
-    if (pending_scheduler_ != nullptr &&
-        !cell_served(pending_scheduler_->kind())) {
+    // incoming kinds serve the same FIFO, so the pre-registered waiters
+    // are served first by construction. Towards any other kind the
+    // pre-registered generation moves onto the orphan queue, which is
+    // served FIFO before any module's choice, so it still goes first.
+    // Deferring instead would keep the fast release off for as long as the
+    // cell never empties - under load, indefinitely. The simulator keeps
+    // the delay in every direction: its tables measure it.
+    const bool cell_current =
+        kRealConcurrency<P> &&
+        cell_served(scheduler_kind_.load(std::memory_order_relaxed));
+    if (cell_current && !cell_served(kind)) {
+      move_cell(ctx, SchedulerKind::kNone, nullptr);  // onto the orphans
+    }
+    if (pending_scheduler_ != nullptr) {
       // Stacked reconfiguration: a previous pending module was never
-      // installed. Migrate its registered waiters (to the incoming module,
-      // or the orphan queue when switching to kNone) instead of destroying
-      // them with it. A cell-served one holds none of its own: its waiters
-      // sit in the lock's cell.
+      // installed. Migrate its registered waiters - into the incoming
+      // module, the cell for a cell-served kind, or the orphan queue for
+      // kNone - instead of destroying them with it. A pending cell-served
+      // kind has no module: its waiters sit in the lock's cell.
       while (WaiterRecord<P>* w = pending_scheduler_->pop_any()) {
-        enlist(*w, fresh.get());
+        enlist(*w, kind, fresh.get());
       }
     }
     pending_scheduler_ = std::move(fresh);
@@ -2112,14 +2103,14 @@ class ConfigurableLock {
     }
     pending_kind_.store(kind, std::memory_order_relaxed);
     has_pending_.store(true, std::memory_order_relaxed);
-    // The waiters of a replaced cell-served pending module move into the
+    // The waiters of a replaced cell-served pending kind move into the
     // incoming module, ahead of later registrations, unless it serves the
     // cell too.
     drain_cell(ctx);
-    // New registrations target the incoming module from here on: a new
+    // New registrations target the incoming kind from here on: a new
     // configuration generation for the fairness oracles.
     note(ctx, LockEvent::kSchedulerInstalled);
-    if (scheduler_ == nullptr || scheduler_->empty() || cell_current) {
+    if (current_empty() || cell_current) {
       install_pending(ctx);                             // W5: flag reset
     }
     note(ctx, LockEvent::kConfigMutateEnd);
@@ -2215,9 +2206,8 @@ class ConfigurableLock {
                              : arrival_deadline(ctx, attrs, t0, arrival);
     if (rw_enter_at_once(ctx, shared, t0)) return true;
 
-    Scheduler<P>* target = arrival_module();
-    assert(target != nullptr && "RW locks always have a scheduler");
-    return wait_registered(ctx, *target, shared, attrs, deadline, t0);
+    assert(arrival_module() != nullptr && "RW locks always have a scheduler");
+    return wait_registered(ctx, shared, attrs, deadline, t0);
   }
 
   /// Meta held. The reader-writer immediate entry: when rw_can_enter()
@@ -2396,11 +2386,11 @@ class ConfigurableLock {
   // padded by the native platform, and its cold words share a line of
   // their own). Pinned by core_layout_test.
 
-  /// Shared half of the cell-served (kFcfs/kQueue) waiter queue. Lock-
-  /// resident - not module-resident - so lock-free arrivals can tail-swap
+  /// The lock's arrival queue and the one FIFO of the cell-served kinds
+  /// (kFcfs/kQueue). Lock-resident, so lock-free arrivals can tail-swap
   /// into stable storage no matter how many times configuration flips
-  /// between kinds; every façade installed on this lock serves this one
-  /// cell. Host atomics, so the simulator's word placement is untouched.
+  /// between kinds. Host atomics, so the simulator's word placement is
+  /// untouched.
   alignas(kCacheLineSize) WaitQueueCell<P> queue_cell_;
   /// Arrival half of waiter_count(), on the line a cell arrival's tail
   /// swap already owns.

@@ -3,6 +3,10 @@
 // waiters (registration), decides their eligibility (acquisition), and
 // selects who is granted the lock on release (release).
 //
+// The FIFO kinds have no module: kFcfs and its synonym kQueue are served
+// straight from the lock's queue cell (WaitQueueCell, waiter.hpp), on every
+// platform, and kNone barges. The modules here select for the other kinds.
+//
 // Module methods run only while the caller owns the lock's release module,
 // so at most one thread at a time is inside a module and schedulers are
 // plain single-threaded data structures. NOT every call holds the meta
@@ -14,12 +18,9 @@
 //     the module and selects WITHOUT it, inside a quiesced epoch.
 // Two releases never overlap (only the state-word owner runs one), and
 // every configuration or withdrawal first breaks the epoch and waits any
-// in-flight fast release out. The one exception is the
-// DistributedQueueScheduler façade below, whose cell also takes lock-free
-// enqueues.
+// in-flight fast release out.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <memory>
@@ -170,19 +171,6 @@ class QueuedScheduler : public Scheduler<P> {
   }
 
   WaiterQueue<P> queue_;
-};
-
-/// FCFS: strict FIFO grant order. The most common multiprocessor lock
-/// scheduler; fair but oblivious to application structure.
-template <Platform P>
-class FcfsScheduler final : public QueuedScheduler<P> {
- public:
-  [[nodiscard]] SchedulerKind kind() const noexcept override {
-    return SchedulerKind::kFcfs;
-  }
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (WaiterRecord<P>* w = this->queue_.front()) this->take(*w, out);
-  }
 };
 
 /// Priority queue: grants the waiter with the highest priority (FIFO among
@@ -350,124 +338,11 @@ class ReaderWriterScheduler final : public QueuedScheduler<P> {
   RwPreference pref_;
 };
 
-/// Distributed FIFO (SchedulerKind::kQueue): the MCS-family queue-node
-/// scheduler. Registration is a lock-free tail-swap into a WaitQueueCell —
-/// each waiter's queue node is inline in its own WaiterRecord (qnext), so
-/// a waiting thread spins on its record-local grant flag and the only
-/// shared-word traffic per acquisition is the one tail exchange; release
-/// hands off with a single store to the successor's node.
-///
-/// This module is a *façade* over the cell: on kRealConcurrency platforms
-/// the lock's arrival path performs the producer protocol itself (without
-/// dereferencing the module — the cell outlives reconfigurations inside
-/// the lock), and the lock's release path consumes the cell with
-/// platform-paced spins where a producer's link store may be in flight.
-/// The Scheduler-interface consumers here are the *non-waiting* variants:
-/// select()/pop_any() return nobody when they encounter an in-flight link
-/// window (the lock retries or sweeps strays), which keeps every method
-/// safe to call under the meta guard on any platform — and exact on the
-/// simulator, where registration is meta-serialized and no window exists.
-///
-/// By default the module owns its cell and the cell's consumer cursor
-/// (standalone/simulator use); the lock constructs it over the
-/// lock-resident cell and cursor instead so their identity survives
-/// configure_scheduler round trips. The lock also serves
-/// kFcfs from the cell on kRealConcurrency platforms (the FIFO is the
-/// same; see ConfigurableLock::cell_served), so the façade reports the
-/// kind it was built for.
-template <Platform P>
-class DistributedQueueScheduler final : public Scheduler<P> {
- public:
-  using Rec = WaiterRecord<P>;
-  using Cell = WaitQueueCell<P>;
-
-  DistributedQueueScheduler() : cell_(&owned_), cursor_(&owned_cursor_) {}
-  DistributedQueueScheduler(Cell* cell, Rec** cursor,
-                            SchedulerKind kind = SchedulerKind::kQueue)
-      : cell_(cell), cursor_(cursor), kind_(kind) {}
-
-  [[nodiscard]] SchedulerKind kind() const noexcept override { return kind_; }
-
-  /// Producer protocol: tail-swap, then publish the link (predecessor's
-  /// qnext, or the cell's first-arrival slot when the queue was empty).
-  /// Safe against concurrent producers; never waits.
-  void enqueue(Rec& w) override {
-    w.qnext.store(nullptr, std::memory_order_relaxed);
-    Rec* prev = cell_->tail.exchange(&w, std::memory_order_seq_cst);
-    if (prev != nullptr) {
-      prev->qnext.store(&w, std::memory_order_release);
-    } else {
-      cell_->first.store(&w, std::memory_order_release);
-    }
-  }
-
-  /// Consumer-side withdrawal. Exact on meta-serialized platforms; on
-  /// kRealConcurrency platforms the lock routes withdrawals through its
-  /// own paced remover instead (an in-flight producer link can force a
-  /// wait that only the lock can pace).
-  void remove(Rec& w) override { (void)cell_->remove(*cursor_, w, spin); }
-
-  void select(GrantBatch<P>& out, ThreadId /*hint*/) override {
-    if (Rec* w = try_pop()) out.push_back(w);
-  }
-
-  [[nodiscard]] bool empty() const noexcept override {
-    return cell_->empty(*cursor_);
-  }
-  /// Counts the consumer side: from the cursor (else the published first
-  /// arrival) along the qnext links. Exact at quiescence; a record whose
-  /// producer is still inside its publication window is not counted yet.
-  [[nodiscard]] std::size_t size() const noexcept override {
-    std::size_t n = 0;
-    for (const Rec* r = *cursor_ != nullptr
-                            ? *cursor_
-                            : cell_->first.load(std::memory_order_acquire);
-         r != nullptr;
-         r = Cell::record(r->qnext.load(std::memory_order_acquire))) {
-      ++n;
-    }
-    return n;
-  }
-
-  [[nodiscard]] Rec* pop_any() noexcept override { return try_pop(); }
-
-  [[nodiscard]] Cell& cell() noexcept { return *cell_; }
-  /// The consumer cursor: the oldest linked record not yet granted.
-  [[nodiscard]] Rec*& cursor() noexcept { return *cursor_; }
-
- private:
-  /// Pops the queue head, or returns nullptr when the queue is empty OR a
-  /// producer's link publication is still in flight (callers retry or let
-  /// the lock's paced consumer finish the job).
-  [[nodiscard]] Rec* try_pop() noexcept {
-    return cell_->pop(*cursor_, [](const char*, std::atomic<Rec*>& slot) {
-      return slot.load(std::memory_order_acquire);
-    });
-  }
-
-  /// Waits a publication out by busy-polling. Reached only from the
-  /// consumer operations that cannot give up, and never on the simulator
-  /// (its registrations are meta-serialized, so no window is ever open).
-  static Rec* spin(const char*, std::atomic<Rec*>& slot) noexcept {
-    Rec* r;
-    while ((r = slot.load(std::memory_order_acquire)) == nullptr) {
-    }
-    return r;
-  }
-
-  Cell owned_;
-  Rec* owned_cursor_ = nullptr;
-  Cell* cell_;
-  Rec** cursor_;
-  SchedulerKind kind_ = SchedulerKind::kQueue;
-};
-
-/// Factory for dynamic scheduler reconfiguration.
+/// Factory for dynamic scheduler reconfiguration: the module `kind` selects
+/// with, or nullptr for the kinds that have none.
 template <Platform P>
 std::unique_ptr<Scheduler<P>> make_scheduler(SchedulerKind kind) {
   switch (kind) {
-    case SchedulerKind::kFcfs:
-      return std::make_unique<FcfsScheduler<P>>();
     case SchedulerKind::kPriorityQueue:
       return std::make_unique<PriorityQueueScheduler<P>>();
     case SchedulerKind::kPriorityThreshold:
@@ -476,16 +351,17 @@ std::unique_ptr<Scheduler<P>> make_scheduler(SchedulerKind kind) {
       return std::make_unique<HandoffScheduler<P>>();
     case SchedulerKind::kReaderWriter:
       return std::make_unique<ReaderWriterScheduler<P>>();
+    case SchedulerKind::kFcfs:
     case SchedulerKind::kQueue:
-      return std::make_unique<DistributedQueueScheduler<P>>();
+      break;  // served from the lock's queue cell
     case SchedulerKind::kNone:
-      break;
+      break;  // centralized barging: no queue at all
     case SchedulerKind::kCustom:
       assert(false && "custom schedulers are installed by instance, "
                       "not by kind");
       break;
   }
-  return nullptr;  // centralized barging: no queue at all
+  return nullptr;
 }
 
 }  // namespace relock

@@ -148,28 +148,6 @@ TEST(CostModelWait, BoundaryAndZeroWaitsHoldPosition) {
   EXPECT_TRUE(sleeper.sleeping());
 }
 
-TEST(OversubscriptionScheduler, AdoptsQueueUnderSustainedContention) {
-  OversubscriptionSchedulerPolicy p;
-  StatsDelta d = delta_with(100, 0.0, 80);
-  const auto action = p.evaluate(d);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(std::get<SetScheduler>(*action).kind, SchedulerKind::kQueue);
-  EXPECT_TRUE(p.queued());
-}
-
-TEST(OversubscriptionScheduler, OversubscriptionDropsQueueToFcfs) {
-  OversubscriptionSchedulerPolicy p(OversubscriptionSchedulerPolicy::Params{},
-                                    /*start_queued=*/true);
-  StatsDelta d = delta_with(100, 0.0, 80);  // still heavily contended...
-  d.oversubscribed = true;  // ...but FIFO handoff now stalls on preemption
-  const auto action = p.evaluate(d);
-  ASSERT_TRUE(action.has_value());
-  EXPECT_EQ(std::get<SetScheduler>(*action).kind, SchedulerKind::kFcfs);
-  EXPECT_FALSE(p.queued());
-  // And it blocks re-adoption while it lasts.
-  EXPECT_FALSE(p.evaluate(d).has_value());
-}
-
 TEST(BurstThreshold, SurgeRaisesAndSubsideRestoresThreshold) {
   BurstThresholdPolicy p;
   EXPECT_FALSE(p.evaluate(delta_with(100, 0.0)).has_value())
@@ -197,7 +175,7 @@ TEST(BurstThreshold, QuietIntervalClosesAnOpenBurst) {
 TEST(PolicyStack, FirstEngagedActionWinsTheInterval) {
   PolicyStack stack;
   stack.push(std::make_unique<CostModelWaitPolicy>());
-  stack.push(std::make_unique<OversubscriptionSchedulerPolicy>());
+  stack.push(std::make_unique<ContentionSchedulerPolicy>());
   ASSERT_EQ(stack.size(), 2u);
   // Both members would engage on this delta; the stack returns the wait
   // policy's action and the scheduler member keeps its interval untouched.
@@ -218,11 +196,9 @@ TEST(Policies, ZeroAcquisitionWindowsAreIgnoredEverywhere) {
   SpinBlockHysteresisPolicy a;
   CostModelWaitPolicy b;
   ContentionSchedulerPolicy c;
-  OversubscriptionSchedulerPolicy d;
   EXPECT_FALSE(a.evaluate(quiet).has_value());
   EXPECT_FALSE(b.evaluate(quiet).has_value());
   EXPECT_FALSE(c.evaluate(quiet).has_value());
-  EXPECT_FALSE(d.evaluate(quiet).has_value());
   EXPECT_DOUBLE_EQ(quiet.contention_ratio(), 0.0) << "no NaN on 0/0";
 }
 

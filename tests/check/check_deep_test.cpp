@@ -121,6 +121,10 @@ TEST(RelockCheckDeep, ThresholdCellPending3Bound2) {
   expect_exhaustive(scenarios::threshold_cell_pending3(), 2);
 }
 
+TEST(RelockCheckDeep, StackedCell3Bound3) {
+  expect_exhaustive(scenarios::stacked_cell3(), 3);
+}
+
 #if RELOCK_ASYNC_ENABLED
 TEST(RelockCheckDeep, AsyncGrant2Bound3) {
   expect_exhaustive(scenarios::async_grant2(), 3);

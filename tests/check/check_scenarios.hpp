@@ -844,6 +844,66 @@ inline Scenario threshold_cell_pending3() {
   return s;
 }
 
+/// Stacked reconfiguration into the queue cell. The holder keeps the lock
+/// throughout. Waiter A queues under kPriorityQueue; the holder switches
+/// to kHandoff, which stays pending while A is in the priority module.
+/// Waiter B then registers under the pending kHandoff, and the holder
+/// switches again, to kFcfs: the second switch's drain moves B into the
+/// never-installed kHandoff module, whose waiters then migrate - pop_any,
+/// then enlist - into the cell, where kFcfs serves them. The holder's
+/// release grants A, and A's release completes the delay and grants B
+/// from the cell. The configuration-delay oracle orders the generations,
+/// and no record may be left behind.
+inline Scenario stacked_cell3() {
+  Scenario s;
+  s.name = "stacked_cell3";
+  s.fairness = FairnessMode::kFcfs;
+  s.build = [](ScenarioFrame& f) {
+    auto lk = make_lock(f, SchedulerKind::kPriorityQueue,
+                        LockAttributes::blocking());
+    // The waiters park until the holder lets them arrive (a parker token
+    // each), so only the protocol's own steps interleave.
+    constexpr ThreadId kFirst = 1;
+    constexpr ThreadId kSecond = 2;
+    Engine* chk = &f.engine();
+    f.add_thread(1, [lk, chk](Context& ctx) {
+      const auto delayed = [&](SchedulerKind to, std::uint32_t queued) {
+        while (lk->waiter_count() < queued) CheckPlatform::yield(ctx);
+        lk->configure_scheduler(ctx, to);
+        if (!lk->reconfiguration_pending()) {
+          chk->fail_here(ctx, "stacked_cell3: a switch with a waiter in "
+                              "the priority module installed at once");
+        }
+      };
+      lk->lock(ctx);
+      ctx.cs_enter();
+      CheckPlatform::unblock(ctx, kFirst);
+      delayed(SchedulerKind::kHandoff, 1);
+      CheckPlatform::unblock(ctx, kSecond);
+      delayed(SchedulerKind::kFcfs, 2);
+      ctx.cs_exit();
+      lk->unlock(ctx);
+    });
+    for (int i = 0; i < 2; ++i) {
+      f.add_thread(1, [lk](Context& ctx) {
+        CheckPlatform::block(ctx);
+        lock_cycle(lk, ctx);
+      });
+    }
+    f.on_finish([lk, chk] {
+      if (lk->scheduler_kind() != SchedulerKind::kFcfs ||
+          lk->reconfiguration_pending()) {
+        chk->fail_host("stacked_cell3: the switch to kFcfs never "
+                       "completed");
+      }
+      if (lk->waiter_count() != 0) {
+        chk->fail_host("stacked_cell3: a record was stranded");
+      }
+    });
+  };
+  return s;
+}
+
 /// A monitor reset races a lock/unlock stream. LockMonitor::reset is
 /// snapshot-coherent (baseline subtraction, never writes to the live
 /// shards), so no schedule may observe a window where a counter appears to

@@ -155,6 +155,14 @@ TEST(RelockCheckSmoke, ThresholdCellPending3Bound1Exhaustive) {
   expect_exhaustive(scenarios::threshold_cell_pending3(), 1);
 }
 
+TEST(RelockCheckSmoke, StackedCell3Bound2Exhaustive) {
+  // Stacked reconfiguration kPriorityQueue -> kHandoff -> kFcfs with a
+  // waiter in each module: the pending kHandoff module's waiter migrates
+  // into the queue cell, behind the priority module's, in order. Bound 2
+  // is ~12k schedules (~0.4 s); bound 3 (~243k) is in the deep pass.
+  expect_exhaustive(scenarios::stacked_cell3(), 2);
+}
+
 TEST(RelockCheckSmoke, EngineTick2Exhaustive) {
   // PolicyEngine::tick() flipping the waiting policy (flip-flop forcer)
   // against a worker's timed acquire and plain cycle: the governor's

@@ -584,20 +584,22 @@ TEST(Reconfigure, ConfigurationDelayServesPreRegisteredThreadsFirst) {
 }
 
 TEST(Reconfigure, TimeoutAfterPendingQueueModuleIsReplaced) {
-  // A timed waiter registers with a pending kQueue module, which a second
-  // configure_scheduler(kQueue) replaces (and destroys) before the waiter
-  // times out. Its record sits in the lock's queue cell and names no
-  // module, so the withdrawal must find it there rather than in the
-  // destroyed one.
+  // kFcfs -> kQueue -> kQueue on the simulator, which keeps the
+  // configuration delay between the two cell-served kinds. Waiter A queues
+  // in the lock's queue cell under kFcfs, timed waiter B behind it under
+  // the pending kQueue, and a second configure_scheduler(kQueue) replaces
+  // the pending kind before B times out. Neither kind has a module, so B's
+  // record names none: the withdrawal must find it in the cell, and A must
+  // still be granted.
   Machine m(MachineParams::test_machine(3));
   Lock lock(m, with_scheduler(SchedulerKind::kFcfs));
   bool a_granted = false, b_got = true;
   m.spawn(0, [&](Thread& t) {
     ASSERT_TRUE(lock.lock(t));
-    m.compute(t, 50'000);  // waiter A queues with the FCFS module
+    m.compute(t, 50'000);  // waiter A queues in the cell
     lock.configure_scheduler(t, SchedulerKind::kQueue);
     EXPECT_TRUE(lock.reconfiguration_pending());
-    m.compute(t, 50'000);  // waiter B registers with the pending kQueue
+    m.compute(t, 50'000);  // waiter B queues behind A, under kQueue
     lock.configure_scheduler(t, SchedulerKind::kQueue);
     m.compute(t, 400'000);  // B times out
     lock.unlock(t);
@@ -618,6 +620,41 @@ TEST(Reconfigure, TimeoutAfterPendingQueueModuleIsReplaced) {
   EXPECT_EQ(lock.waiter_count(), 0u);
   EXPECT_FALSE(lock.reconfiguration_pending());
   EXPECT_EQ(lock.scheduler_kind(), SchedulerKind::kQueue);
+}
+
+TEST(Reconfigure, FcfsQueueFlipKeepsTheGrantOrder) {
+  // kFcfs and kQueue are one FIFO on every platform: flipping kFcfs ->
+  // kQueue -> kFcfs while three waiters are queued (each with a higher
+  // priority than the one before) moves nobody. The pre-registered
+  // waiters and a later arrival are granted in arrival order, and the
+  // simulator's configuration delay completes once the cell empties.
+  Machine m(MachineParams::test_machine(5));
+  Lock lock(m, with_scheduler(SchedulerKind::kFcfs));
+  std::vector<int> order;
+  m.spawn(0, [&](Thread& t) {
+    ASSERT_TRUE(lock.lock(t));
+    m.compute(t, 100'000);  // waiters 1..3 queue
+    lock.configure_scheduler(t, SchedulerKind::kQueue);
+    m.compute(t, 10'000);
+    lock.configure_scheduler(t, SchedulerKind::kFcfs);
+    m.compute(t, 100'000);  // waiter 4 queues behind them
+    lock.unlock(t);
+  });
+  for (int i = 1; i <= 4; ++i) {
+    m.spawn(static_cast<ProcId>(i), [&, i](Thread& t) {
+      t.set_priority(i);
+      m.compute(t, i < 4 ? static_cast<Nanos>(3000 * i) : 150'000);
+      ASSERT_TRUE(lock.lock(t));
+      order.push_back(i);
+      m.compute(t, 1000);
+      lock.unlock(t);
+    });
+  }
+  m.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(lock.reconfiguration_pending());
+  EXPECT_EQ(lock.scheduler_kind(), SchedulerKind::kFcfs);
+  EXPECT_EQ(lock.waiter_count(), 0u);
 }
 
 TEST(Reconfigure, PossessIsExclusive) {
